@@ -1,16 +1,22 @@
-// Profiling target: one hot scenario, repeated long enough to perf-record.
+// Profiling target: one hot scenario, repeated long enough to sample.
 //
-// The matcher inner loops (the RGA family in rga.cpp, the Hungarian solver
-// behind "maxweight") are the expected hot spots; this bench pins one
-// scenario and re-runs it with fresh seeds on a single thread until the
-// requested wall-clock budget is spent, so samples overwhelmingly land in
-// the simulator rather than setup/teardown.  Pair it with the Profile build
-// type:
+// This bench pins one scenario and re-runs it with fresh seeds on a single
+// thread until the requested wall-clock budget is spent, so samples
+// overwhelmingly land in the simulator rather than setup/teardown.  The
+// matcher is not where the time goes: on the benchmark's p128_uniform
+// workload `matcher.share` is under 1%, and the event queue, the
+// classifier and the VOQs dominate.  For the per-layer split, measured
+// from outside the simulator, run the repository benchmark traced:
 //
-//   $ cmake -B build-profile -S . -DCMAKE_BUILD_TYPE=Profile
-//   $ cmake --build build-profile -j --target bench_profile_hotloop
-//   $ perf record -g ./build-profile/bench_profile_hotloop --seconds=10
-//   $ perf report            # or: perf script | flamegraph.pl
+//   $ python3 perfbench/run.py --workload p128_uniform --trace 1
+//
+// For a function-level profile, build with gprof instrumentation (gmon.out
+// lands in the working directory):
+//
+//   $ cmake -B build-gprof -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-pg
+//   $ cmake --build build-gprof -j --target bench_profile_hotloop
+//   $ ./build-gprof/bench_profile_hotloop --ports=128 --load=0.6 --seconds=10
+//   $ gprof -b -p build-gprof/bench_profile_hotloop gmon.out | head -30
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -110,7 +116,7 @@ int main(int argc, char** argv) {
               static_cast<double>(iterations) / wall, static_cast<double>(decisions) / wall,
               static_cast<double>(delivered) / 1e6);
   bench::print_note(
-      "Build with -DCMAKE_BUILD_TYPE=Profile and run under `perf record -g` to attribute\n"
-      "samples; the matcher inner loops (rga.cpp, hungarian.cpp) should dominate.");
+      "Build with -DCMAKE_CXX_FLAGS=-pg and read gmon.out with `gprof -b -p` to attribute\n"
+      "samples; the event queue, classifier and VOQs dominate and the matcher barely registers.");
   return 0;
 }

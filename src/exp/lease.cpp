@@ -41,14 +41,6 @@ std::string lease_json(const std::string& owner, const std::string& hash, std::u
          "\",\"attempt\":" + std::to_string(attempt) + "}\n";
 }
 
-std::string done_json(const std::string& owner, const std::string& hash, std::uint64_t attempt,
-                      std::int64_t wall_us) {
-  return "{\"lease_schema\":" + std::to_string(kLeaseSchema) + ",\"spec_hash\":\"" + hash +
-         "\",\"owner\":\"" + stats::json_escape(owner) +
-         "\",\"attempt\":" + std::to_string(attempt) + ",\"wall_us\":" + std::to_string(wall_us) +
-         "}\n";
-}
-
 std::string gen_json(std::uint64_t attempt) {
   return "{\"lease_schema\":" + std::to_string(kLeaseSchema) +
          ",\"attempt\":" + std::to_string(attempt) + "}\n";
@@ -261,14 +253,15 @@ std::optional<std::size_t> LeaseWorkSource::next_point() {
   }
 }
 
-bool LeaseWorkSource::complete(std::size_t index, std::int64_t wall_us) {
+bool LeaseWorkSource::complete(std::size_t index) {
   const std::lock_guard<std::mutex> lock{mutex_};
   if (index >= state_.size() || state_[index] != PointState::kOurs) return false;
   const auto it = attempts_.find(index);
   const std::uint64_t attempt = it != attempts_.end() ? it->second : 1;
   bool existed = false;
+  // The done marker carries the same {owner, attempt} record as the lease.
   const bool published = publish_exclusive(
-      done_path(index), done_json(opts_.owner, hashes_[index], attempt, wall_us), existed);
+      done_path(index), lease_json(opts_.owner, hashes_[index], attempt), existed);
   // `existed` means a stolen twin of this claim finished first — our copy
   // of the result must be dropped so the merge stays exactly-once.  A plain
   // I/O failure (disk full) is NOT a loss: our result is the only one, the
@@ -390,29 +383,6 @@ LeaseScan scan_leases(const std::string& dir, const std::vector<std::string>& po
     scan.points.push_back(std::move(p));
   }
   return scan;
-}
-
-std::map<std::string, std::int64_t> scan_done_walls(const std::string& dir) {
-  std::map<std::string, std::int64_t> walls;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator{fs::path{dir} / "leases", ec}) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() != 16 + kDoneSuffix.size() ||
-        std::string_view{name}.substr(16) != kDoneSuffix) {
-      continue;
-    }
-    const std::optional<std::string> raw = util::read_file(entry.path().string());
-    if (!raw) continue;
-    try {
-      const stats::JsonValue doc = stats::parse_json(*raw);
-      const stats::JsonValue* wall = doc.find("wall_us");
-      const stats::JsonValue* hash = doc.find("spec_hash");
-      if (wall == nullptr || hash == nullptr) continue;
-      if (wall->as_i64() > 0) walls[hash->as_str()] = wall->as_i64();
-    } catch (const std::invalid_argument&) {
-    }
-  }
-  return walls;
 }
 
 }  // namespace xdrs::exp

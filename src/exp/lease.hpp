@@ -9,7 +9,7 @@
 //
 //   <hash>.lease   a live claim: single-line JSON {owner, attempt},
 //                  mtime refreshed by the owner's heartbeat thread
-//   <hash>.done    completion marker: {owner, attempt, wall_us}
+//   <hash>.done    completion marker: {owner, attempt}
 //   <hash>.gen     requeue generation: bumped when a stale lease is stolen,
 //                  so the next claimant's attempt number records the requeue
 //
@@ -83,7 +83,7 @@ class LeaseWorkSource final : public WorkSource {
   LeaseWorkSource& operator=(const LeaseWorkSource&) = delete;
 
   [[nodiscard]] std::optional<std::size_t> next_point() override;
-  bool complete(std::size_t index, std::int64_t wall_us) override;
+  bool complete(std::size_t index) override;
   void abandon(std::size_t index) override;
   std::size_t requeue_stale() override;
   [[nodiscard]] WorkSourceStats stats() const override;
@@ -157,11 +157,6 @@ struct LeaseScan {
 /// lease is another worker's business.
 [[nodiscard]] LeaseScan scan_leases(const std::string& dir,
                                     const std::vector<std::string>& point_hashes, double ttl_s);
-
-/// Recorded wall_us by spec hash from every readable completion marker in
-/// <dir>/leases — the measured-cost source `sweepctl presets` estimates
-/// fleet sizing from.  Unmeasured (wall_us <= 0) markers are skipped.
-[[nodiscard]] std::map<std::string, std::int64_t> scan_done_walls(const std::string& dir);
 
 }  // namespace xdrs::exp
 

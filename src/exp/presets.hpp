@@ -1,7 +1,7 @@
 // Named sweep grids.
 //
 // A preset is a deterministic function from a name to a grid of
-// ScenarioSpecs, shared by bench_sweep and sweepctl so that a recorded
+// ScenarioSpecs, run by `sweepctl run --preset NAME`, so that a recorded
 // artefact can be reproduced, sharded across processes/hosts and merged
 // back — every participant reconstructs the identical grid from the name
 // alone.  Built-ins:
@@ -23,6 +23,11 @@
 //                websearch+incast; bundled CDFs under examples/, run from
 //                the repo root) across loads and circuit schedulers —
 //                behind BENCH_sweep_empirical.json
+//   deadline     deadline-aware vs deadline-blind stacks on the SLO
+//                scenarios — behind BENCH_sweep_deadline.json
+//   p128         the 128-port grid — behind BENCH_sweep_128.json
+//   ft2          two-rack fat-trees across oversubscription and
+//                locality — behind BENCH_sweep_ft2.json
 #ifndef XDRS_EXP_PRESETS_HPP
 #define XDRS_EXP_PRESETS_HPP
 

@@ -65,47 +65,24 @@ core::RunReport run_with_telemetry(const ScenarioSpec& spec, const std::string& 
 // ------------------------------------------------------------- ExecutionPlan
 
 WorkSourceSpec ExecutionPlan::resolved_source() const {
-  const auto check_shard = [](const ShardOptions& s, const char* field) {
-    if (s.count == 0) {
-      throw std::invalid_argument{std::string{"ExecutionPlan: "} + field +
-                                  ".count must be >= 1 (got 0)"};
-    }
-    if (s.index >= s.count) {
-      throw std::invalid_argument{std::string{"ExecutionPlan: "} + field + ".index " +
-                                  std::to_string(s.index) + " not in [0, " +
-                                  std::to_string(s.count) + ")"};
-    }
-  };
-  check_shard(shard, "shard");
-  const bool legacy_shard = shard.index != 0 || shard.count != 1;
-
-  WorkSourceSpec resolved = source;
-  if (resolved.kind == WorkSourceSpec::Kind::kLease) {
-    if (legacy_shard) {
-      throw std::invalid_argument{
-          "ExecutionPlan: shard cannot combine with a lease source — elastic workers claim "
-          "points dynamically"};
-    }
-    if (resolved.lease_dir.empty()) {
+  if (source.kind == WorkSourceSpec::Kind::kLease) {
+    if (source.lease_dir.empty()) {
       throw std::invalid_argument{"ExecutionPlan: source.lease_dir must not be empty"};
     }
-    if (!(resolved.lease_ttl_s > 0.0)) {
+    if (!(source.lease_ttl_s > 0.0)) {
       throw std::invalid_argument{"ExecutionPlan: source.lease_ttl_s must be > 0"};
     }
-    return resolved;
+    return source;
   }
-
-  check_shard(resolved.shard, "source.shard");
-  const bool source_shard = resolved.shard.index != 0 || resolved.shard.count != 1;
-  if (legacy_shard && source_shard &&
-      (shard.index != resolved.shard.index || shard.count != resolved.shard.count)) {
-    throw std::invalid_argument{
-        "ExecutionPlan: shard " + std::to_string(shard.index) + "/" +
-        std::to_string(shard.count) + " conflicts with source.shard " +
-        std::to_string(resolved.shard.index) + "/" + std::to_string(resolved.shard.count)};
+  if (source.shard.count == 0) {
+    throw std::invalid_argument{"ExecutionPlan: source.shard.count must be >= 1 (got 0)"};
   }
-  if (legacy_shard) resolved.shard = shard;
-  return resolved;
+  if (source.shard.index >= source.shard.count) {
+    throw std::invalid_argument{"ExecutionPlan: source.shard.index " +
+                                std::to_string(source.shard.index) + " not in [0, " +
+                                std::to_string(source.shard.count) + ")"};
+  }
+  return source;
 }
 
 // --------------------------------------------------------------- SweepResult
@@ -244,15 +221,8 @@ SweepResult SweepResult::merge_shards(const std::vector<ScenarioSpec>& grid,
       result.points[index].index = index;
       try {
         result.points[index].report = core::report_from_state(entry.at("report"));
-        // Older shard files (envelope additions are backward compatible)
-        // carry no wall time; treat it as unmeasured, not an error.
-        if (const stats::JsonValue* wall = entry.find("wall_us")) {
-          result.points[index].wall_us = wall->as_i64();
-        }
-        // Same vintage tolerance for the cached flag (added later still).
-        if (const stats::JsonValue* cached = entry.find("cached")) {
-          result.points[index].cached = cached->as_bool();
-        }
+        result.points[index].wall_us = entry.at("wall_us").as_i64();
+        result.points[index].cached = entry.at("cached").as_bool();
       } catch (const std::invalid_argument& e) {
         fail("point " + std::to_string(index) + ": " + e.what());
       }
@@ -380,7 +350,7 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
                          .count();
       // complete() returning false means another worker finished a stolen
       // twin of this claim first; drop our copy so merges stay exactly-once.
-      if (source->complete(i, slot.wall_us)) filled[i] = 1;
+      if (source->complete(i)) filled[i] = 1;
       if (plan_.progress) {
         const std::lock_guard<std::mutex> lock{mutex};
         plan_.progress(++completed, total_hint, slot.spec);

@@ -38,16 +38,10 @@ namespace xdrs::exp {
 class ResultCache;
 
 /// Everything that shapes one sweep's execution — threads, work source,
-/// cache, telemetry — in one validated value.  (Formerly `SweepOptions`;
-/// the alias below keeps existing field-assignment call sites compiling
-/// unchanged.)
+/// cache, telemetry — in one validated value.
 struct ExecutionPlan {
   /// Worker threads; 0 = one per hardware thread.
   unsigned threads{0};
-  /// Legacy grid-slice knob, kept so `plan.shard = {i, n}` call sites work
-  /// unchanged; resolved_source() folds it into `source`.  Leave default
-  /// when setting `source` directly — a conflicting combination throws.
-  ShardOptions shard{};
   /// Which points this process runs and in what order: a static shard
   /// (default: the whole grid) or a lease directory for elastic workers.
   WorkSourceSpec source{};
@@ -69,16 +63,12 @@ struct ExecutionPlan {
   /// stderr/logging, never into result artefacts.
   std::function<void(std::size_t, std::size_t, const ScenarioSpec&)> progress;
 
-  /// The single source of truth for execution-plan validation: folds the
-  /// legacy `shard` field into `source` and returns the effective spec, or
-  /// throws std::invalid_argument naming the bad field (shard.count of 0,
-  /// shard.index out of range, empty lease_dir, non-positive lease_ttl_s,
-  /// shard combined with a conflicting source).
+  /// The single source of truth for execution-plan validation: returns
+  /// `source`, or throws std::invalid_argument naming the bad field
+  /// (source.shard.count of 0, source.shard.index out of range, empty
+  /// source.lease_dir, non-positive source.lease_ttl_s).
   [[nodiscard]] WorkSourceSpec resolved_source() const;
 };
-
-/// Deprecated name for ExecutionPlan, kept for source compatibility.
-using SweepOptions = ExecutionPlan;
 
 /// One grid point: the spec that was run and what came back.
 struct PointResult {

@@ -16,10 +16,10 @@
 //                       heartbeat-stamped leases so points whose worker
 //                       died are requeued after a TTL.
 //
-// WorkSourceSpec is the value-type description of a source ("static:1/4",
-// "lease:cache-dir:30") that ExecutionPlan carries and the runner turns
-// into a live source per run — sources themselves are stateful and bound
-// to one grid.
+// WorkSourceSpec is the value-type description of a source (a static
+// slice, or a lease directory and TTL) that ExecutionPlan carries and the
+// runner turns into a live source per run — sources themselves are
+// stateful and bound to one grid.
 #ifndef XDRS_EXP_WORK_SOURCE_HPP
 #define XDRS_EXP_WORK_SOURCE_HPP
 
@@ -65,11 +65,10 @@ class WorkSource {
   /// permanently out of this worker's reach (static: outside its shard).
   [[nodiscard]] virtual std::optional<std::size_t> next_point() = 0;
 
-  /// Marks a claimed point complete; `wall_us` is the wall-clock cost of
-  /// computing it (recorded for fleet sizing; 0 = unmeasured).  Returns
-  /// false when another worker completed the point first — the caller must
-  /// drop its duplicate result so merges stay exactly-once.
-  virtual bool complete(std::size_t index, std::int64_t wall_us) = 0;
+  /// Marks a claimed point complete.  Returns false when another worker
+  /// completed the point first — the caller must drop its duplicate result
+  /// so merges stay exactly-once.
+  virtual bool complete(std::size_t index) = 0;
 
   /// Releases a claim without completing it (failure path): the point
   /// becomes immediately claimable again.
@@ -96,7 +95,7 @@ class StaticShardSource final : public WorkSource {
     if (j >= owned_) return std::nullopt;
     return shard_.index + j * shard_.count;
   }
-  bool complete(std::size_t, std::int64_t) override {
+  bool complete(std::size_t) override {
     completed_.fetch_add(1, std::memory_order_relaxed);
     return true;  // nobody else can own a static slice's points
   }
@@ -116,8 +115,7 @@ class StaticShardSource final : public WorkSource {
   std::atomic<std::uint64_t> completed_{0};
 };
 
-/// Value-type description of a work source, carried by ExecutionPlan and
-/// parseable from the `sweepctl --source` flag syntax.
+/// Value-type description of a work source, carried by ExecutionPlan.
 struct WorkSourceSpec {
   enum class Kind { kStatic, kLease };
 
@@ -138,15 +136,6 @@ struct WorkSourceSpec {
     s.lease_ttl_s = ttl_s;
     return s;
   }
-
-  /// Parses the CLI syntax: "static:I/N" (I < N) or "lease:DIR[:TTL_S]"
-  /// (TTL in seconds; the tail after the last ':' is the TTL iff it parses
-  /// as a positive number).  Throws std::invalid_argument naming the bad
-  /// piece otherwise.
-  [[nodiscard]] static WorkSourceSpec parse(const std::string& text);
-
-  /// Human-readable rendering ("static:1/4", "lease:cache (ttl 30s)").
-  [[nodiscard]] std::string describe() const;
 };
 
 }  // namespace xdrs::exp

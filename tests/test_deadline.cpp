@@ -366,18 +366,18 @@ TEST(DeadlineProperties, DeadlineSweepIsThreadInvariantAndMergesExactly) {
   grid = exp::expand(grid, exp::axis_estimator({"instantaneous", "edf"}));
   ASSERT_EQ(grid.size(), 8u);
 
-  exp::SweepOptions one;
+  exp::ExecutionPlan one;
   one.threads = 1;
   const exp::SweepResult serial = exp::ExperimentRunner{one}.run(grid);
-  exp::SweepOptions four;
+  exp::ExecutionPlan four;
   four.threads = 4;
   const exp::SweepResult threaded = exp::ExperimentRunner{four}.run(grid);
   EXPECT_EQ(serial.to_json(), threaded.to_json());
   EXPECT_EQ(serial.to_csv(), threaded.to_csv());
 
-  exp::SweepOptions s0, s1;
-  s0.shard = {0, 2};
-  s1.shard = {1, 2};
+  exp::ExecutionPlan s0, s1;
+  s0.source.shard = {0, 2};
+  s1.source.shard = {1, 2};
   const exp::SweepResult merged = exp::SweepResult::merge_shards(
       grid, {exp::ExperimentRunner{s0}.run(grid).to_shard_json(),
              exp::ExperimentRunner{s1}.run(grid).to_shard_json()});

@@ -178,9 +178,9 @@ std::vector<ScenarioSpec> small_ft_grid() {
 
 TEST(FatTreeSweep, ThreadCountDoesNotChangeTheBytes) {
   const auto grid = small_ft_grid();
-  exp::SweepOptions one;
+  exp::ExecutionPlan one;
   one.threads = 1;
-  exp::SweepOptions four;
+  exp::ExecutionPlan four;
   four.threads = 4;
   const std::string a = exp::ExperimentRunner{one}.run(grid).to_json();
   const std::string b = exp::ExperimentRunner{four}.run(grid).to_json();
@@ -193,8 +193,8 @@ TEST(FatTreeSweep, TwoShardMergeMatchesTheUnshardedRun) {
 
   std::vector<std::string> shard_jsons;
   for (std::size_t i = 0; i < 2; ++i) {
-    exp::SweepOptions opts;
-    opts.shard = {i, 2};
+    exp::ExecutionPlan opts;
+    opts.source.shard = {i, 2};
     shard_jsons.push_back(exp::ExperimentRunner{opts}.run(grid).to_shard_json());
   }
   const exp::SweepResult merged = exp::SweepResult::merge_shards(grid, shard_jsons);

@@ -185,7 +185,7 @@ TEST_F(ResultCacheTest, WarmSweepExecutesZeroSimulationsAndEmitsIdenticalBytes) 
   grid = expand(grid, axis_matcher({"islip:1", "maxweight"}));  // 8 points
 
   ResultCache cold{dir_};
-  SweepOptions cold_opts;
+  ExecutionPlan cold_opts;
   cold_opts.cache = &cold;
   const SweepResult first = ExperimentRunner{cold_opts}.run(grid);
   EXPECT_EQ(cold.stats().misses, grid.size());
@@ -194,7 +194,7 @@ TEST_F(ResultCacheTest, WarmSweepExecutesZeroSimulationsAndEmitsIdenticalBytes) 
 
   // Fresh cache object, same directory: every point must come from disk.
   ResultCache warm{dir_};
-  SweepOptions warm_opts;
+  ExecutionPlan warm_opts;
   warm_opts.cache = &warm;
   const SweepResult second = ExperimentRunner{warm_opts}.run(grid);
 
@@ -215,8 +215,8 @@ TEST_F(ResultCacheTest, ShardsCanShareOneCacheDirectory) {
 
   for (std::size_t shard = 0; shard < 2; ++shard) {
     ResultCache cache{dir_};
-    SweepOptions opts;
-    opts.shard = {shard, 2};
+    ExecutionPlan opts;
+    opts.source.shard = {shard, 2};
     opts.cache = &cache;
     (void)ExperimentRunner{opts}.run(grid);
     EXPECT_EQ(cache.stats().stores, 2u);

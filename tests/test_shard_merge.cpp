@@ -25,8 +25,8 @@ std::vector<ScenarioSpec> small_grid() {
 
 SweepResult run_shard(const std::vector<ScenarioSpec>& grid, std::size_t index,
                       std::size_t count) {
-  SweepOptions opts;
-  opts.shard = {index, count};
+  ExecutionPlan opts;
+  opts.source.shard = {index, count};
   return ExperimentRunner{opts}.run(grid);
 }
 
@@ -55,17 +55,17 @@ TEST(ShardedRun, RunsExactlyTheOwnedSubsequenceInGridOrder) {
 }
 
 TEST(ShardedRun, InvalidShardOptionsThrow) {
-  SweepOptions zero;
-  zero.shard = {0, 0};
+  ExecutionPlan zero;
+  zero.source.shard = {0, 0};
   EXPECT_THROW((void)ExperimentRunner{zero}.run(small_grid()), std::invalid_argument);
-  SweepOptions oob;
-  oob.shard = {2, 2};
+  ExecutionPlan oob;
+  oob.source.shard = {2, 2};
   EXPECT_THROW((void)ExperimentRunner{oob}.run(small_grid()), std::invalid_argument);
 }
 
 TEST(ShardMerge, TwoShardsReassembleByteIdenticalToOneProcess) {
   const auto grid = small_grid();
-  SweepOptions single_opts;
+  ExecutionPlan single_opts;
   single_opts.threads = 1;
   const SweepResult single = ExperimentRunner{single_opts}.run(grid);
 
@@ -125,17 +125,21 @@ TEST(ShardMerge, WallTimesSurviveMergeButNotTheArtefact) {
   EXPECT_EQ(merged.to_json().find("wall_us"), std::string::npos);
   EXPECT_EQ(merged.to_csv().find("wall_us"), std::string::npos);
 
-  // Shard files predating the wall-time field still merge (unmeasured = 0).
-  std::string legacy = shard0.to_shard_json();
-  for (std::size_t pos = 0; (pos = legacy.find(",\"wall_us\":")) != std::string::npos;) {
-    const std::size_t end = legacy.find(",\"report\"", pos);
-    ASSERT_NE(end, std::string::npos);
-    legacy.erase(pos, end - pos);
+  // Both envelope fields are required: a shard entry missing either one is
+  // rejected with the missing key named.
+  for (const std::string field : {"wall_us", "cached"}) {
+    std::string stripped = shard0.to_shard_json();
+    const std::string prefix = ",\"" + field + "\":";
+    for (std::size_t pos = 0; (pos = stripped.find(prefix)) != std::string::npos;) {
+      stripped.erase(pos, stripped.find(',', pos + 1) - pos);
+    }
+    try {
+      (void)SweepResult::merge_shards(grid, {stripped, shard1.to_shard_json()});
+      ADD_FAILURE() << "merge accepted a shard file without " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+    }
   }
-  const SweepResult old =
-      SweepResult::merge_shards(grid, {legacy, shard1.to_shard_json()});
-  EXPECT_EQ(old.points[0].wall_us, 0);
-  EXPECT_EQ(old.to_json(), merged.to_json());
 }
 
 TEST(ShardMerge, RejectsMissingDuplicateAndForeignPoints) {

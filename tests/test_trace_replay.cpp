@@ -218,7 +218,7 @@ TEST_F(TraceReplayTest, WarmRerunHitsTheCacheEditedTraceMisses) {
   const std::uint64_t hash_before = exp::spec_hash(grid[0]);
   {
     exp::ResultCache cold{dir};
-    exp::SweepOptions opts;
+    exp::ExecutionPlan opts;
     opts.cache = &cold;
     const exp::SweepResult first = exp::ExperimentRunner{opts}.run(grid);
     EXPECT_EQ(cold.stats().misses, grid.size());
@@ -245,7 +245,7 @@ TEST_F(TraceReplayTest, WarmRerunHitsTheCacheEditedTraceMisses) {
   EXPECT_NE(grid[0].identity_json().find("\"trace_digest\""), std::string::npos);
 
   exp::ResultCache after{dir};
-  exp::SweepOptions opts;
+  exp::ExecutionPlan opts;
   opts.cache = &after;
   (void)exp::ExperimentRunner{opts}.run(grid);
   EXPECT_EQ(after.stats().hits, 0u);

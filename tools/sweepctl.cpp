@@ -10,7 +10,8 @@
 //   host A$ sweepctl run --preset small --shard 0/2 --cache cache/ --out shard0.json
 //   host B$ sweepctl run --preset small --shard 1/2 --cache cache/ --out shard1.json
 //        $ sweepctl merge --preset small --out sweep.json shard0.json shard1.json
-//        $ cmp sweep.json <(bench_sweep --json=/dev/stdout ...)   # byte-identical
+//        $ sweepctl run --preset small --out whole.json
+//        $ cmp sweep.json whole.json                               # byte-identical
 //
 // Elastic workers (lease-based work stealing — any number of processes,
 // join or die at any time, one slow host no longer gates the sweep):
@@ -24,12 +25,10 @@
 // DIR as the result cache); a worker that dies stops heartbeating and its
 // points are stolen by the survivors after --ttl.  Because the simulator is
 // deterministic the merged artefact is byte-identical to a single-process
-// run no matter who computed what (CI-gated).  `run --hosts`/`run --k8s`
-// emit the ssh fan-out script / Kubernetes Job manifest for a fleet of such
-// workers.  `status` reports grid size, cache presence, shard-file coverage
-// and (with --leases) live/stale/requeued claims; `presets` sizes a fleet
-// from recorded per-point walls.  `gc` evicts cache entries older than
-// --keep-days.
+// run no matter who computed what (CI-gated).  `status` reports grid size,
+// cache presence, shard-file coverage and (with --leases) live/stale/
+// requeued claims; `presets` lists the grids.  `gc` evicts cache entries
+// older than --keep-days.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -50,7 +49,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "stats/json.hpp"
-#include "stats/serialize.hpp"
 #include "util/file_io.hpp"
 #include "util/parse.hpp"
 
@@ -64,30 +62,18 @@ int usage(const char* error = nullptr) {
                "usage: sweepctl <command> [options]\n"
                "\n"
                "commands:\n"
-               "  presets [--claim DIR | --cache DIR]\n"
-               "                                list grid presets and their sizes; with a\n"
-               "                                directory, estimate each preset's wall from\n"
-               "                                the per-point walls recorded there, so fleet\n"
-               "                                sizing is one command\n"
-               "  run    --preset NAME [--source SPEC | --shard I/N | --claim DIR [--ttl S]]\n"
-               "         [--cache DIR] [--threads N] [--out FILE] [--csv FILE]\n"
+               "  presets                       list grid presets and their sizes\n"
+               "  run    --preset NAME [--shard I/N | --claim DIR [--ttl S]]\n"
+               "         [--cache DIR] [--threads N] --out FILE [--csv FILE]\n"
                "         [--telemetry DIR] [--progress]\n"
-               "                                run the grid, one static shard of it, or an\n"
-               "                                elastic lease-claiming worker's share.\n"
-               "                                --source static:I/N | lease:DIR[:TTL_S];\n"
-               "                                --shard I/N is sugar for --source static:I/N,\n"
-               "                                --claim DIR for --source lease:DIR (and uses\n"
+               "                                run the grid, one static shard of it\n"
+               "                                (--shard), or an elastic lease-claiming\n"
+               "                                worker's share (--claim, which also uses\n"
                "                                DIR as the result cache).\n"
                "                                whole grid: writes the sweep artefact JSON;\n"
                "                                shard/lease: writes a shard file for merge.\n"
                "                                --telemetry drops a per-point sidecar into DIR\n"
                "                                (artefacts stay byte-identical)\n"
-               "  run    --preset NAME --claim DIR (--hosts h1,h2,... | --k8s N) [--ttl S]\n"
-               "         [--out FILE]\n"
-               "                                emit the fleet recipe instead of running:\n"
-               "                                --hosts writes an ssh fan-out script,\n"
-               "                                --k8s N a Kubernetes Job manifest with\n"
-               "                                parallelism N (stdout when --out is absent)\n"
                "  merge  --preset NAME [--cache DIR | --claim DIR] --out FILE SHARD.json...\n"
                "                                reassemble shard files into the artefact,\n"
                "                                byte-identical to a single-process run; with\n"
@@ -127,14 +113,11 @@ struct Options {
   std::string telemetry_dir;
   std::string scenario;  // trace
   std::string policies;  // trace; empty = the scenario's default stack
-  std::string source_spec;  // --source static:I/N | lease:DIR[:TTL]
-  std::string claim_dir;    // --claim; sugar for --source lease:DIR
-  std::string hosts;        // --hosts h1,h2,...; emit ssh fan-out script
+  std::string claim_dir;  // --claim; elastic lease-claiming worker
   exp::ShardOptions shard{};
   bool shard_given{false};
-  unsigned k8s_parallelism{0};  // --k8s N; emit a Job manifest
-  double ttl_s{60.0};           // --ttl; lease TTL for --claim and --leases
-  bool leases{false};           // status: lease-state report
+  double ttl_s{60.0};  // --ttl; lease TTL for --claim and --leases
+  bool leases{false};  // status: lease-state report
   unsigned threads{0};
   std::uint32_t ports{8};    // trace
   double load{0.5};          // trace
@@ -186,22 +169,11 @@ bool parse(int argc, char** argv, Options& opt) {
       } else if (key == "--shard") {
         if (!value() || !parse_shard(val, opt.shard)) return false;
         opt.shard_given = true;
-      } else if (key == "--source") {
-        if (!value()) return false;
-        opt.source_spec = val;
       } else if (key == "--claim") {
         if (!value()) return false;
         opt.claim_dir = val;
       } else if (key == "--ttl") {
         if (!value() || !util::parse_number(val, opt.ttl_s) || opt.ttl_s <= 0.0) return false;
-      } else if (key == "--hosts") {
-        if (!value()) return false;
-        opt.hosts = val;
-      } else if (key == "--k8s") {
-        if (!value() || !util::parse_number(val, opt.k8s_parallelism) ||
-            opt.k8s_parallelism < 1) {
-          return false;
-        }
       } else if (key == "--leases") {
         opt.leases = true;
       } else if (key == "--cache") {
@@ -282,181 +254,25 @@ std::string read_file(const std::string& path) {
 
 // ----------------------------------------------------------------- commands
 
-int cmd_presets(const Options& opt) {
-  // Fleet sizing: with a lease/cache directory, estimate each preset's wall
-  // from the per-point walls its completion markers recorded.  Presets with
-  // partial coverage extrapolate from the measured points' mean.
-  const std::string walls_dir = !opt.claim_dir.empty() ? opt.claim_dir : opt.cache_dir;
-  std::map<std::string, std::int64_t> walls;
-  if (!walls_dir.empty()) walls = exp::scan_done_walls(walls_dir);
-
+int cmd_presets() {
   for (const std::string& name : exp::known_presets()) {
-    const std::vector<exp::ScenarioSpec> grid = exp::make_preset(name);
-    std::printf("%-14s %4zu points", name.c_str(), grid.size());
-    if (!walls_dir.empty()) {
-      std::int64_t measured_us = 0;
-      std::size_t measured = 0;
-      for (const exp::ScenarioSpec& spec : grid) {
-        const auto it = walls.find(exp::spec_hash_hex(spec));
-        if (it == walls.end()) continue;
-        measured_us += it->second;
-        ++measured;
-      }
-      if (measured == 0) {
-        std::printf("   est wall unknown (0/%zu points measured)", grid.size());
-      } else {
-        const double est_s = static_cast<double>(measured_us) / 1e6 /
-                             static_cast<double>(measured) * static_cast<double>(grid.size());
-        std::printf("   est wall %8.1f s (%zu/%zu points measured)", est_s, measured,
-                    grid.size());
-      }
-    }
-    std::printf("\n");
+    std::printf("%-14s %4zu points\n", name.c_str(), exp::make_preset(name).size());
   }
   return 0;
 }
 
-// --------------------------------------------------------- fleet fan-out
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t comma = text.find(',', begin);
-    const std::string item =
-        text.substr(begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
-}
-
-/// The ssh fan-out recipe for `run --hosts`: one elastic worker per host
-/// against the shared lease directory, shard files rsynced back, merge with
-/// cache backfill.  Emitted, not executed — the operator owns the fleet.
-std::string fanout_script(const Options& opt, const std::vector<std::string>& hosts) {
-  const std::string ttl = stats::format_double(opt.ttl_s);
-  std::string hosts_quoted;
-  for (const std::string& h : hosts) {
-    if (!hosts_quoted.empty()) hosts_quoted += ' ';
-    hosts_quoted += '\'' + h + '\'';
-  }
-  std::string s;
-  s += "#!/usr/bin/env bash\n";
-  s += "# Elastic sweep fan-out generated by:\n";
-  s += "#   sweepctl run --preset " + opt.preset + " --hosts " + opt.hosts + " --claim " +
-       opt.claim_dir + " --ttl " + ttl + "\n";
-  s += "# Assumes sweepctl on PATH on every host.  CLAIM on a shared filesystem\n";
-  s += "# lets workers steal from each other live; without one, each host runs\n";
-  s += "# its own lease dir as a plain cache and the rsync below merges them.\n";
-  s += "set -euo pipefail\n";
-  s += "PRESET='" + opt.preset + "'\n";
-  s += "CLAIM='" + opt.claim_dir + "'\n";
-  s += "TTL='" + ttl + "'\n";
-  s += "pids=()\n";
-  s += "for host in " + hosts_quoted + "; do\n";
-  s += "  ssh \"$host\" \"sweepctl run --preset '$PRESET' --claim '$CLAIM' --ttl '$TTL'";
-  s += " --out '$CLAIM/$host.shard.json'\" &\n";
-  s += "  pids+=(\"$!\")\n";
-  s += "done\n";
-  s += "for pid in \"${pids[@]}\"; do\n";
-  s += "  wait \"$pid\" || true  # a dead worker's points get requeued by the others\n";
-  s += "done\n";
-  s += "for host in " + hosts_quoted + "; do\n";
-  s += "  rsync -a \"$host:$CLAIM/\" \"$CLAIM/\"  # shard files + rsync-merged caches\n";
-  s += "done\n";
-  s += "sweepctl status --preset \"$PRESET\" --leases --claim \"$CLAIM\" --ttl \"$TTL\"\n";
-  s += "sweepctl merge --preset \"$PRESET\" --claim \"$CLAIM\" --out \"sweep-$PRESET.json\" \\\n";
-  s += "  \"$CLAIM\"/*.shard.json\n";
-  s += "echo \"merged into sweep-$PRESET.json\"\n";
-  return s;
-}
-
-/// The Kubernetes Job manifest for `run --k8s N`: N pods claiming from one
-/// PVC-mounted lease directory; a pod that dies is exactly the crash case
-/// the TTL requeue covers, so backoffLimit stays 0.
-std::string k8s_manifest(const Options& opt) {
-  const std::string n = std::to_string(opt.k8s_parallelism);
-  std::string s;
-  s += "# Elastic sweep fleet generated by:\n";
-  s += "#   sweepctl run --preset " + opt.preset + " --k8s " + n + " --claim " + opt.claim_dir +
-       "\n";
-  s += "apiVersion: batch/v1\n";
-  s += "kind: Job\n";
-  s += "metadata:\n";
-  s += "  name: sweep-" + opt.preset + "\n";
-  s += "spec:\n";
-  s += "  parallelism: " + n + "\n";
-  s += "  completions: " + n + "\n";
-  s += "  backoffLimit: 0\n";
-  s += "  template:\n";
-  s += "    spec:\n";
-  s += "      restartPolicy: Never\n";
-  s += "      containers:\n";
-  s += "        - name: worker\n";
-  s += "          image: xdrs/sweepctl:latest\n";
-  s += "          command:\n";
-  s += "            - sweepctl\n";
-  s += "            - run\n";
-  s += "            - --preset=" + opt.preset + "\n";
-  s += "            - --claim=" + opt.claim_dir + "\n";
-  s += "            - --ttl=" + stats::format_double(opt.ttl_s) + "\n";
-  s += "            - --out=" + opt.claim_dir + "/$(POD_NAME).shard.json\n";
-  s += "          env:\n";
-  s += "            - name: POD_NAME\n";
-  s += "              valueFrom:\n";
-  s += "                fieldRef:\n";
-  s += "                  fieldPath: metadata.name\n";
-  s += "          volumeMounts:\n";
-  s += "            - name: sweep-claim\n";
-  s += "              mountPath: " + opt.claim_dir + "\n";
-  s += "      volumes:\n";
-  s += "        - name: sweep-claim\n";
-  s += "          persistentVolumeClaim:\n";
-  s += "            claimName: sweep-claim\n";
-  return s;
-}
-
-/// Folds the --shard/--source/--claim sugar into one WorkSourceSpec;
+/// Folds the --shard/--claim flags into one WorkSourceSpec;
 /// ExecutionPlan::resolved_source() stays the single validation path for
-/// field values, this only rejects contradictory flag combinations.
+/// field values, this only rejects the contradictory combination.
 exp::WorkSourceSpec resolve_source_flags(const Options& opt) {
-  const int given = (opt.shard_given ? 1 : 0) + (opt.source_spec.empty() ? 0 : 1) +
-                    (opt.claim_dir.empty() ? 0 : 1);
-  if (given > 1) {
-    throw std::invalid_argument{"--shard, --source and --claim are mutually exclusive"};
+  if (opt.shard_given && !opt.claim_dir.empty()) {
+    throw std::invalid_argument{"--shard and --claim are mutually exclusive"};
   }
-  if (opt.shard_given) return exp::WorkSourceSpec::static_shard(opt.shard);
-  if (!opt.source_spec.empty()) return exp::WorkSourceSpec::parse(opt.source_spec);
   if (!opt.claim_dir.empty()) return exp::WorkSourceSpec::lease(opt.claim_dir, opt.ttl_s);
-  return {};
+  return exp::WorkSourceSpec::static_shard(opt.shard);
 }
 
 int cmd_run(const Options& opt) {
-  // Fleet-recipe emits: describe the elastic fleet instead of running it.
-  if (!opt.hosts.empty() || opt.k8s_parallelism != 0) {
-    if (!opt.hosts.empty() && opt.k8s_parallelism != 0) {
-      return usage("run: --hosts and --k8s are mutually exclusive");
-    }
-    if (opt.claim_dir.empty()) {
-      return usage("run: --hosts/--k8s need --claim DIR (the fleet's shared lease directory)");
-    }
-    const std::vector<std::string> hosts = split_csv(opt.hosts);
-    if (opt.k8s_parallelism == 0 && hosts.empty()) return usage("run: --hosts is empty");
-    const std::string doc =
-        opt.k8s_parallelism != 0 ? k8s_manifest(opt) : fanout_script(opt, hosts);
-    if (opt.out_path.empty()) {
-      std::fputs(doc.c_str(), stdout);
-    } else {
-      write_file(opt.out_path, doc);
-      std::printf("wrote %s for preset %s to %s\n",
-                  opt.k8s_parallelism != 0 ? "k8s job manifest" : "ssh fan-out script",
-                  opt.preset.c_str(), opt.out_path.c_str());
-    }
-    return 0;
-  }
-
   if (opt.out_path.empty()) return usage("run: --out is required");
   const exp::WorkSourceSpec source = resolve_source_flags(opt);
   const bool lease = source.kind == exp::WorkSourceSpec::Kind::kLease;
@@ -742,21 +558,16 @@ int cmd_status(const Options& opt) {
             ++mismatched;
             continue;
           }
-          bool from_cache = false;
-          if (const stats::JsonValue* cached = entry.find("cached")) {
-            from_cache = cached->as_bool();
-          }
-          if (const stats::JsonValue* wall = entry.find("wall_us")) {
-            wall_us += wall->as_i64();
-            if (from_cache) {
-              ++cached_points;
-              cached_wall_us += wall->as_i64();
-            } else {
-              compute_wall_us += wall->as_i64();
-              // Only fresh compute competes for "slowest point" — a cache
-              // round-trip's microseconds say nothing about the simulation.
-              file_walls.emplace_back(wall->as_i64(), entry.at("key").as_str());
-            }
+          const std::int64_t point_wall_us = entry.at("wall_us").as_i64();
+          wall_us += point_wall_us;
+          if (entry.at("cached").as_bool()) {
+            ++cached_points;
+            cached_wall_us += point_wall_us;
+          } else {
+            compute_wall_us += point_wall_us;
+            // Only fresh compute competes for "slowest point" — a cache
+            // round-trip's microseconds say nothing about the simulation.
+            file_walls.emplace_back(point_wall_us, entry.at("key").as_str());
           }
           if (!covered[index]) {
             covered[index] = true;
@@ -946,7 +757,7 @@ int main(int argc, char** argv) {
   Options opt;
   if (!parse(argc, argv, opt)) return usage();
   try {
-    if (opt.command == "presets") return cmd_presets(opt);
+    if (opt.command == "presets") return cmd_presets();
     if (opt.command == "gc") return cmd_gc(opt);
     if (opt.command == "trace") return cmd_trace(opt);
     if (opt.preset.empty()) return usage("--preset is required");
