@@ -1,6 +1,7 @@
 // E3a — wall-clock compute cost of each scheduling algorithm vs port count
-// (google-benchmark microbenchmark), plus the steady-state zero-allocation
-// gate CI runs (`--alloc-check`), plus a self-contained timing mode
+// (google-benchmark microbenchmark), plus the allocation gate CI runs
+// (`--alloc-check`: zero per matcher decision, at most one per offered
+// packet over a whole simulated run), plus a self-contained timing mode
 // (`--ports=N [--csv=PATH]`) that emits machine-readable numbers so kernel
 // before/after comparisons are recorded, not copy-pasted.
 //
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "demand/demand_matrix.hpp"
+#include "exp/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "schedulers/policy_registry.hpp"
 #include "sim/random.hpp"
@@ -77,6 +79,80 @@ BENCHMARK(BM_MaxSizeHk)->RangeMultiplier(2)->Range(kLo, kHi);
 BENCHMARK(BM_MaxWeightHungarian)->RangeMultiplier(2)->Range(kLo, kHi);
 BENCHMARK(BM_Rotor)->RangeMultiplier(2)->Range(kLo, kHi);
 
+/// The whole-run cases of `--alloc-check`: a slotted switch under Poisson
+/// uniform traffic (generators, classifier, VOQs and the event queue on
+/// every packet) and a hybrid switch under websearch flows (estimator,
+/// circuit planner, OCS and EPS every epoch, a deep pending-event set).
+std::vector<exp::ScenarioSpec> whole_run_cases() {
+  exp::ScenarioSpec slotted;
+  slotted.scenario = "uniform";
+  slotted.config.ports = 32;
+  slotted.config.discipline = core::SchedulingDiscipline::kSlotted;
+  slotted.config.slot_time = sim::Time::nanoseconds(12'500);
+  slotted.config.ocs_reconfig = sim::Time::nanoseconds(50);
+  slotted.config.seed = 7;
+  topo::WorkloadSpec uniform;
+  uniform.kind = topo::WorkloadSpec::Kind::kPoissonUniform;
+  uniform.load = 0.6;
+  uniform.seed = 107;
+  slotted.workloads.push_back(uniform);
+  slotted.policies.matcher = "islip:4";
+  slotted.duration = sim::Time::milliseconds(4);
+  slotted.warmup = sim::Time::milliseconds(1);
+
+  exp::ScenarioSpec hybrid;
+  hybrid.scenario = "websearch";
+  hybrid.config = bench::hybrid_base(16);
+  hybrid.config.seed = 7;
+  topo::WorkloadSpec websearch;
+  websearch.kind = topo::WorkloadSpec::Kind::kEmpirical;
+  websearch.load = 0.45;
+  websearch.seed = 107;
+  websearch.cdf_path = exp::kWebsearchCdfPath;
+  hybrid.workloads.push_back(websearch);
+  hybrid.duration = sim::Time::milliseconds(10);
+  hybrid.warmup = sim::Time::milliseconds(2);
+  return {slotted, hybrid};
+}
+
+/// The simulator's allocation budget: at most one heap allocation per
+/// offered packet, counted from begin_measurement() to the horizon.  A
+/// warm event queue and VOQ bank allocate nothing per packet, so what
+/// remains is per-flow state and the growth of pools to their peak.
+int whole_run_alloc_check() {
+  int failures = 0;
+  std::printf("heap allocations per offered packet over a measured window:\n");
+  for (const exp::ScenarioSpec& spec : whole_run_cases()) {
+    auto fw = exp::materialize(spec);
+    fw->start_run(spec.duration, spec.warmup);
+    fw->simulator().run_until(spec.warmup - sim::Time::picoseconds(1));
+    const std::uint64_t before = bench::heap_allocs();
+    fw->begin_measurement();
+    fw->simulator().run_until(fw->horizon());
+    const std::uint64_t allocs = bench::heap_allocs() - before;
+    const core::RunReport report = fw->finalize_run();
+
+    const double per_packet = report.offered_packets == 0
+                                  ? 0.0
+                                  : static_cast<double>(allocs) /
+                                        static_cast<double>(report.offered_packets);
+    const bool ok = report.offered_packets > 0 && per_packet <= 1.0;
+    if (!ok) ++failures;
+    std::printf("  %-9s %3u ports %-10s %10llu allocs / %8llu pkts = %.4f %s\n",
+                spec.scenario.c_str(), spec.config.ports,
+                spec.config.discipline == core::SchedulingDiscipline::kSlotted ? "slotted"
+                                                                               : "hybrid",
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(report.offered_packets), per_packet,
+                ok ? "OK" : "FAIL");
+  }
+  if (failures > 0) {
+    std::fprintf(stderr, "alloc-check: %d whole run(s) allocate more than once per packet\n",
+                 failures);
+  }
+  return failures;
+}
+
 /// `--alloc-check`: for every registered matcher spec, warm the decision
 /// loop, then count heap allocations over a steady-state window.  Any
 /// allocation is a regression of the allocation-free compute contract.
@@ -89,6 +165,7 @@ BENCHMARK(BM_Rotor)->RangeMultiplier(2)->Range(kLo, kHi);
 /// The measured loop wraps each decision in a disabled-registry ScopedSpan,
 /// exactly as SchedulingLogic does when telemetry is compiled in but off —
 /// so the gate also proves the telemetry-off hot path costs no allocation.
+/// The whole-run cases follow (whole_run_alloc_check).
 int alloc_check() {
   constexpr std::uint32_t kPortCounts[] = {48, 64, 128};
   constexpr int kWarmupDecisions = 64;
@@ -124,10 +201,11 @@ int alloc_check() {
   if (failures > 0) {
     std::fprintf(stderr, "alloc-check: %d matcher config(s) allocate in steady state\n",
                  failures);
-    return 1;
+  } else {
+    std::printf("alloc-check: all matchers run allocation-free in steady state\n");
   }
-  std::printf("alloc-check: all matchers run allocation-free in steady state\n");
-  return 0;
+  const int whole_run_failures = whole_run_alloc_check();
+  return failures + whole_run_failures > 0 ? 1 : 0;
 }
 
 /// `--ports=N [--csv=PATH]`: time every registered matcher at exactly the

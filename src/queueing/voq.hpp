@@ -6,12 +6,22 @@
 // records *peak* occupancy, which is the quantity Figure 1 of the paper is
 // about: the peak decides whether buffers fit in a ToR switch (kilobytes,
 // fast scheduling) or must live in the hosts (gigabytes, slow scheduling).
+//
+// Storage.  All packets of a bank live in one pool of list nodes, each a
+// packet plus an 8-B link; a VOQ is a 32-B header (head, tail, bytes,
+// packets) and reserves nothing, because a 128x128 bank has 16,384 VOQs and
+// even an 8-packet ring each would reserve ~14 MiB.  Freed nodes are
+// recycled LIFO.  The pool starts empty and grows in chunks that double from
+// 32 to 4096 nodes, so a small bank costs little to build while a bank
+// holding hundreds of thousands of packets pays ~8 B per resident packet
+// beyond the packet and never copies one to grow.  Nodes are kept until the
+// bank is destroyed, so its memory is that of its peak occupancy.
 #ifndef XDRS_QUEUEING_VOQ_HPP
 #define XDRS_QUEUEING_VOQ_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -87,25 +97,43 @@ class VoqBank {
   void reset_peaks() noexcept;
 
  private:
-  struct Cell {
-    std::deque<net::Packet> fifo;
+  struct Node {
+    net::Packet packet;
+    Node* next;
+  };
+  struct Voq {
+    Node* head{nullptr};
+    Node* tail{nullptr};
     std::int64_t bytes{0};
+    std::size_t packets{0};
+  };
+  struct ChunkFree {
+    void operator()(Node* chunk) const noexcept { ::operator delete(chunk); }
   };
 
-  [[nodiscard]] Cell& cell(net::PortId input, net::PortId output);
-  [[nodiscard]] const Cell& cell(net::PortId input, net::PortId output) const;
+  [[nodiscard]] Voq& voq(net::PortId input, net::PortId output);
+  [[nodiscard]] const Voq& voq(net::PortId input, net::PortId output) const;
   void check_ports(net::PortId input, net::PortId output) const;
+  /// A node holding a copy of `p`, from the free list or the pool's newest
+  /// chunk, which grows when exhausted.
+  [[nodiscard]] Node* make_node(const net::Packet& p);
 
   std::uint32_t inputs_;
   std::uint32_t outputs_;
   VoqLimits limits_;
-  std::vector<Cell> cells_;                 // row-major [input][output]
+  std::vector<Voq> voqs_;                   // row-major [input][output]
   std::vector<std::int64_t> input_bytes_;   // per-input occupancy
   std::vector<std::int64_t> input_peaks_;   // per-input high-water mark
   std::int64_t total_bytes_{0};
   std::int64_t total_packets_{0};
   VoqBankStats stats_;
   StatusCallback status_cb_;
+
+  // Node pool.  Chunk memory is raw until a node is first handed out.
+  std::vector<std::unique_ptr<Node, ChunkFree>> chunks_;
+  Node* free_nodes_{nullptr};
+  Node* unused_{nullptr};  // next never-used node of the newest chunk
+  Node* unused_end_{nullptr};
 };
 
 }  // namespace xdrs::queueing

@@ -25,10 +25,8 @@ bool Simulator::cancel(EventId id) {
 void Simulator::run_until(Time horizon) {
   stopping_ = false;
   while (!stopping_ && !queue_.empty() && queue_.next_time() <= horizon) {
-    auto popped = queue_.pop();
-    now_ = popped.at;
     ++stats_.events_executed;
-    popped.cb();
+    queue_.run_next(now_);
   }
   // Advance the clock to the horizon even if the queue drained early, so a
   // subsequent run_until continues from a consistent epoch.
@@ -38,10 +36,8 @@ void Simulator::run_until(Time horizon) {
 void Simulator::run() {
   stopping_ = false;
   while (!stopping_ && !queue_.empty()) {
-    auto popped = queue_.pop();
-    now_ = popped.at;
     ++stats_.events_executed;
-    popped.cb();
+    queue_.run_next(now_);
   }
 }
 

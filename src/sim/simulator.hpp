@@ -10,7 +10,6 @@
 #define XDRS_SIM_SIMULATOR_HPP
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"

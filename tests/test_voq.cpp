@@ -1,7 +1,11 @@
 // Tests for the VOQ bank: exact accounting, admission limits, status
-// callbacks and peak tracking (the Figure 1 measurement).
+// callbacks and peak tracking (the Figure 1 measurement), and the node pool
+// checked against per-VOQ std::deque references.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "queueing/voq.hpp"
@@ -206,6 +210,117 @@ TEST_P(VoqConservation, BytesConservedUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VoqConservation, ::testing::Values(1, 2, 3, 4, 5));
+
+// The pooled bank against one std::deque per VOQ on a 128x128 bank: random
+// interleaved enqueue/dequeue over all 16,384 VOQs, with phases that drain
+// the whole bank and refill it (so recycled nodes carry new packets), under
+// each admission limit.  Every dequeue, peek, count and byte total must
+// match the reference.
+struct PoolCase {
+  const char* name;
+  VoqLimits limits;
+  friend void PrintTo(const PoolCase& c, std::ostream* os) { *os << c.name; }
+};
+
+class VoqPool : public ::testing::TestWithParam<PoolCase> {};
+
+TEST_P(VoqPool, MatchesPerVoqDequeReference) {
+  constexpr net::PortId kPorts = 128;
+  const VoqLimits lim = GetParam().limits;
+  VoqBank b{kPorts, kPorts, lim};
+  std::vector<std::deque<net::Packet>> ref(static_cast<std::size_t>(kPorts) * kPorts);
+  std::vector<std::int64_t> ref_bytes(ref.size(), 0);
+  std::int64_t ref_total = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t next_id = 1;
+  sim::Rng rng{4242};
+
+  const auto check_voq = [&](net::PortId i, net::PortId j) {
+    const std::size_t k = static_cast<std::size_t>(i) * kPorts + j;
+    ASSERT_EQ(b.packets(i, j), ref[k].size());
+    ASSERT_EQ(b.bytes(i, j), ref_bytes[k]);
+    ASSERT_EQ(b.empty(i, j), ref[k].empty());
+    const net::Packet* head = b.peek(i, j);
+    if (ref[k].empty()) {
+      ASSERT_EQ(head, nullptr);
+    } else {
+      ASSERT_NE(head, nullptr);
+      ASSERT_EQ(head->id, ref[k].front().id);
+      ASSERT_EQ(head->size_bytes, ref[k].front().size_bytes);
+    }
+  };
+  const auto enqueue = [&](net::PortId i, net::PortId j) {
+    const std::size_t k = static_cast<std::size_t>(i) * kPorts + j;
+    const net::Packet p = pkt(i, j, rng.uniform_int(64, 1500), next_id++);
+    const bool admit =
+        (lim.max_bytes_per_voq == 0 || ref_bytes[k] + p.size_bytes <= lim.max_bytes_per_voq) &&
+        (lim.max_packets_per_voq == 0 ||
+         static_cast<std::int64_t>(ref[k].size()) < lim.max_packets_per_voq) &&
+        (lim.shared_buffer_bytes == 0 || ref_total + p.size_bytes <= lim.shared_buffer_bytes);
+    ASSERT_EQ(b.enqueue(i, p), admit);
+    if (admit) {
+      ref[k].push_back(p);
+      ref_bytes[k] += p.size_bytes;
+      ref_total += p.size_bytes;
+    } else {
+      ++drops;
+    }
+  };
+  const auto dequeue = [&](net::PortId i, net::PortId j) {
+    const std::size_t k = static_cast<std::size_t>(i) * kPorts + j;
+    const auto got = b.dequeue(i, j);
+    ASSERT_EQ(got.has_value(), !ref[k].empty());
+    if (!got) return;
+    ASSERT_EQ(got->id, ref[k].front().id);
+    ASSERT_EQ(got->size_bytes, ref[k].front().size_bytes);
+    ASSERT_EQ(got->src, i);
+    ASSERT_EQ(got->dst, j);
+    ref_bytes[k] -= got->size_bytes;
+    ref_total -= got->size_bytes;
+    ref[k].pop_front();
+  };
+
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    // Fill-biased random traffic, then a dequeue-biased stretch.
+    for (const double p_enqueue : {0.7, 0.35}) {
+      for (int op = 0; op < 60'000; ++op) {
+        const auto i = static_cast<net::PortId>(rng.next_below(kPorts));
+        const auto j = static_cast<net::PortId>(rng.next_below(kPorts));
+        if (rng.bernoulli(p_enqueue)) {
+          enqueue(i, j);
+        } else {
+          dequeue(i, j);
+        }
+        check_voq(i, j);
+        if (HasFatalFailure()) return;
+      }
+      ASSERT_EQ(b.total_bytes(), ref_total);
+    }
+    // Drain every VOQ to empty: all nodes go back to the free list.
+    for (net::PortId i = 0; i < kPorts; ++i) {
+      for (net::PortId j = 0; j < kPorts; ++j) {
+        while (!b.empty(i, j)) dequeue(i, j);
+        check_voq(i, j);
+        if (HasFatalFailure()) return;
+      }
+    }
+    ASSERT_EQ(b.total_bytes(), 0);
+    ASSERT_EQ(b.total_packets(), 0);
+  }
+  EXPECT_EQ(b.stats().dropped_packets, drops);
+  if (lim.max_bytes_per_voq != 0 || lim.max_packets_per_voq != 0 ||
+      lim.shared_buffer_bytes != 0) {
+    EXPECT_GT(drops, 0u) << "the limit was never reached";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Limits, VoqPool,
+    ::testing::Values(PoolCase{"Unlimited", {}},
+                      PoolCase{"VoqBytes", {.max_bytes_per_voq = 3000}},
+                      PoolCase{"VoqPackets", {.max_packets_per_voq = 3}},
+                      PoolCase{"SharedBuffer", {.shared_buffer_bytes = 20'000'000}}),
+    [](const ::testing::TestParamInfo<PoolCase>& info) { return std::string{info.param.name}; });
 
 }  // namespace
 }  // namespace xdrs::queueing
