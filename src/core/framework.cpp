@@ -91,12 +91,6 @@ void HybridSwitchFramework::set_policies(const PolicyStack& stack) {
   }
 }
 
-void HybridSwitchFramework::enable_telemetry(const obs::TelemetryConfig& tcfg) {
-  if (ran_) throw std::logic_error{"Framework: enable_telemetry() must precede run()"};
-  telemetry_ = std::make_unique<obs::RunTelemetry>(tcfg);
-  attach_stage_timers(&telemetry_->registry());
-}
-
 void HybridSwitchFramework::attach_stage_timers(obs::Registry* registry) {
   scheduling_.set_stage_timers(registry);
   switching_.set_stage_timers(registry);
@@ -116,15 +110,6 @@ obs::TimelineSnapshot HybridSwitchFramework::timeline_snapshot(sim::Time urgent_
   s.urgent_flows = urgent.flows;
   s.urgent_bytes = urgent.bytes;
   return s;
-}
-
-void HybridSwitchFramework::sample_timeline(sim::Time period, sim::Time horizon) {
-  // "Urgent" = open deadline flows due within one sample period, so the
-  // horizon tracks the timeline's own resolution.
-  telemetry_->timeline().record(sim_.now(), timeline_snapshot(period));
-  const sim::Time next = sim_.now() + period;
-  if (next > horizon) return;
-  sim_.schedule_at(next, [this, period, horizon] { sample_timeline(period, horizon); });
 }
 
 void HybridSwitchFramework::add_generator(std::unique_ptr<traffic::TrafficGenerator> g,
@@ -241,20 +226,6 @@ void HybridSwitchFramework::begin_measurement() {
   // measure_start_ was set by start_run() (== warmup, not now(): the event
   // queue stopped 1 ps short of the boundary).
   measuring_ = true;
-
-  if (telemetry_) {
-    // Resolve the sampling period: explicit, or ~256 samples across the
-    // measured window (never finer than 1 us).  Sampling is read-only and
-    // rides its own event chain, so it cannot perturb the run.
-    sim::Time period = telemetry_->config().sample_period;
-    if (period <= sim::Time::zero()) {
-      period = std::max(duration_ / 256, sim::Time::microseconds(1));
-    }
-    telemetry_->set_resolved_period(period);
-    sim_.schedule_at(measure_start_, [this, period, horizon = horizon_] {
-      sample_timeline(period, horizon);
-    });
-  }
 }
 
 RunReport HybridSwitchFramework::finalize_run() {

@@ -33,24 +33,12 @@ constexpr std::uint64_t kShardSchema = 1;
 /// artefacts cannot tell the difference (CI-gated).  The sidecar write is
 /// best-effort, like cache stores: a full disk never aborts a sweep.
 core::RunReport run_with_telemetry(const ScenarioSpec& spec, const std::string& dir) {
-  core::RunReport report;
-  std::string doc;
-  if (spec.topology.multi_rack()) {
-    // Fat-tree points carry one topology-owned bundle: a shared registry
-    // every ToR's stage timers attach to, plus the per-tier tracks.
-    std::unique_ptr<topo::FatTree> ft = materialize_fat_tree(spec);
-    ft->enable_telemetry();
-    report = ft->run(spec.duration, spec.warmup);
-    doc = obs::telemetry_sidecar_json(*ft->telemetry(), spec.key(), spec_hash_hex(spec),
-                                      spec.scenario);
-  } else {
-    std::unique_ptr<core::HybridSwitchFramework> fw = materialize(spec);
-    fw->enable_telemetry();
-    report = fw->run(spec.duration, spec.warmup);
-    doc = obs::telemetry_sidecar_json(*fw->telemetry(), spec.key(), spec_hash_hex(spec),
-                                      spec.scenario);
-  }
+  std::unique_ptr<topo::FatTree> ft = materialize_fat_tree(spec);
+  ft->enable_telemetry();
+  core::RunReport report = ft->run(spec.duration, spec.warmup);
   const std::string hash = spec_hash_hex(spec);
+  const std::string doc =
+      obs::telemetry_sidecar_json(*ft->telemetry(), spec.key(), hash, spec.scenario);
   try {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);

@@ -378,49 +378,49 @@ std::string ScenarioSpec::identity_json() const {
 
 // ------------------------------------------------------------- materialize
 
+namespace {
+
+/// Installs a spec on one switch: the policy stack (from the
+/// PolicyRegistry, so user-registered policies are immediately sweepable),
+/// the workloads and the VOIP overlay.  Rack `r` of `ft` offsets every seed
+/// by r so racks never emit correlated streams, and runs the workloads
+/// behind the tree's placement stage; the placement transform hashes the
+/// BASE seed plus the rack index itself, so host->rack assignment stays a
+/// pure function of the spec.  (Per-port expansion multiplies the seed by
+/// 1000003, so +r cannot collide across racks.)  A bare switch (`ft` null)
+/// is rack 0 with no placement stage.
+void fill_switch(core::HybridSwitchFramework& fw, const ScenarioSpec& spec, std::uint32_t r,
+                 const topo::FatTree* ft) {
+  fw.set_policies(spec.policies);
+  for (const auto& w : spec.workloads) {
+    topo::WorkloadSpec wr = w;
+    wr.seed = w.seed + r;
+    topo::attach_workload(fw, wr,
+                          ft != nullptr ? ft->placement_transform(r, w.locality, w.seed)
+                                        : core::HybridSwitchFramework::IngressTransform{});
+  }
+  if (spec.voip_pairs > 0) {
+    topo::attach_voip(fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
+                      spec.config.seed + 99 + r);
+  }
+}
+
+}  // namespace
+
 std::unique_ptr<core::HybridSwitchFramework> materialize(const ScenarioSpec& spec) {
   auto fw = std::make_unique<core::HybridSwitchFramework>(spec.config);
-  // The whole stack comes from the PolicyRegistry; scenario code needs no
-  // by-name construction of its own, and user-registered policies are
-  // immediately sweepable.
-  fw->set_policies(spec.policies);
-
-  for (const auto& w : spec.workloads) topo::attach_workload(*fw, w);
-  if (spec.voip_pairs > 0) {
-    topo::attach_voip(*fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
-                      spec.config.seed + 99);
-  }
+  fill_switch(*fw, spec, 0, nullptr);
   return fw;
 }
 
 std::unique_ptr<topo::FatTree> materialize_fat_tree(const ScenarioSpec& spec) {
   auto ft = std::make_unique<topo::FatTree>(spec.topology, spec.config);
-  for (std::uint32_t r = 0; r < ft->racks(); ++r) {
-    auto& fw = ft->rack(r);
-    fw.set_policies(spec.policies);
-    for (const auto& w : spec.workloads) {
-      // Offset the workload seed per rack so racks never emit correlated
-      // streams; the placement transform hashes the BASE seed plus the rack
-      // index itself, so host->rack assignment stays a pure function of the
-      // spec.  (Per-port expansion multiplies the seed by 1000003, so +r
-      // cannot collide across racks.)
-      topo::WorkloadSpec wr = w;
-      wr.seed = w.seed + r;
-      topo::attach_workload(fw, wr, ft->placement_transform(r, w.locality, w.seed));
-    }
-    if (spec.voip_pairs > 0) {
-      topo::attach_voip(fw, spec.voip_pairs, spec.voip_period, spec.voip_packet_bytes,
-                        spec.config.seed + 99 + r);
-    }
-  }
+  for (std::uint32_t r = 0; r < ft->racks(); ++r) fill_switch(ft->rack(r), spec, r, ft.get());
   return ft;
 }
 
 core::RunReport run_scenario(const ScenarioSpec& spec) {
-  if (spec.topology.multi_rack()) {
-    return materialize_fat_tree(spec)->run(spec.duration, spec.warmup);
-  }
-  return materialize(spec)->run(spec.duration, spec.warmup);
+  return materialize_fat_tree(spec)->run(spec.duration, spec.warmup);
 }
 
 // ---------------------------------------------------------------- registry

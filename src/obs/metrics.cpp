@@ -2,34 +2,12 @@
 
 namespace xdrs::obs {
 
-namespace {
-
-/// Linear find-by-name: registries hold a handful of metrics and lookups
-/// happen at setup time, so a map would buy nothing.
-template <typename T>
-[[nodiscard]] T* find_named(const std::vector<std::unique_ptr<T>>& v, std::string_view name) {
-  for (const auto& m : v) {
-    if (m->name() == name) return m.get();
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-Counter& Registry::counter(std::string_view name) {
-  if (Counter* c = find_named(counters_, name)) return *c;
-  counters_.emplace_back(new Counter{std::string{name}});
-  return *counters_.back();
-}
-
-Gauge& Registry::gauge(std::string_view name) {
-  if (Gauge* g = find_named(gauges_, name)) return *g;
-  gauges_.emplace_back(new Gauge{std::string{name}});
-  return *gauges_.back();
-}
-
 Timer& Registry::timer(std::string_view name) {
-  if (Timer* t = find_named(timers_, name)) return *t;
+  // Linear find-by-name: a registry holds a handful of timers and lookups
+  // happen at setup time, so a map would buy nothing.
+  for (const auto& t : timers_) {
+    if (t->name() == name) return *t;
+  }
   timers_.emplace_back(new Timer{std::string{name}, static_cast<std::uint32_t>(timers_.size())});
   return *timers_.back();
 }

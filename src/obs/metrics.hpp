@@ -1,5 +1,5 @@
 // Host-side (wall-clock) observability primitives: a lightweight registry of
-// named counters, gauges and timers, plus scoped monotonic-clock spans.
+// named stage timers and their span log, plus scoped monotonic-clock spans.
 //
 // The paper's testbed argument — transient effects invisible to end-of-run
 // aggregates — cuts both ways: the *central decision loop's* wall-clock cost
@@ -13,9 +13,11 @@
 //
 // Cost contract, CI-gated by `bench_matching_compute --alloc-check`: with
 // the registry disabled (the default), a ScopedSpan is a null/enabled check
-// — no clock read, no allocation, nothing recorded.  Metric *creation*
-// (timer()/counter()/gauge()) allocates and is meant for setup time only;
-// hot paths hold pre-resolved pointers.
+// — no clock read, no allocation, nothing recorded.  Timer *creation*
+// (timer()) allocates and is meant for setup time only; hot paths hold
+// pre-resolved pointers.  Virtual-time state (queue depths, delivered
+// bytes) is not a registry metric: it lives in the timeline
+// (obs/sampler.hpp) and the topology's tier series.
 #ifndef XDRS_OBS_METRICS_HPP
 #define XDRS_OBS_METRICS_HPP
 
@@ -30,34 +32,6 @@
 #include "stats/summary.hpp"
 
 namespace xdrs::obs {
-
-/// Monotonically increasing event count (grants emitted, samples dropped).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) noexcept { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
- private:
-  friend class Registry;
-  explicit Counter(std::string name) : name_{std::move(name)} {}
-  std::string name_;
-  std::uint64_t value_{0};
-};
-
-/// Last-write-wins scalar (configured sample period, final stride).
-class Gauge {
- public:
-  void set(double v) noexcept { value_ = v; }
-  [[nodiscard]] double value() const noexcept { return value_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
- private:
-  friend class Registry;
-  explicit Gauge(std::string name) : name_{std::move(name)} {}
-  std::string name_;
-  double value_{0.0};
-};
 
 /// Aggregated duration metric: every recorded span folds into a Welford
 /// summary (exact mean/stddev/extrema) and a log-bucketed histogram
@@ -97,7 +71,7 @@ struct Span {
   std::int64_t dur_ns{0};
 };
 
-/// Named-metric registry for one run.  Disabled by default: spans check one
+/// Named-timer registry for one run.  Disabled by default: spans check one
 /// flag and bail.  Not thread-safe — each simulated switch is
 /// single-threaded and owns its own registry (sweep workers never share).
 class Registry {
@@ -110,18 +84,10 @@ class Registry {
   void disable() noexcept { enabled_ = false; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Finds or creates the named metric.  References are stable for the
-  /// registry's lifetime (metrics are heap-held).  Setup-time only.
-  [[nodiscard]] Counter& counter(std::string_view name);
-  [[nodiscard]] Gauge& gauge(std::string_view name);
+  /// Finds or creates the named timer.  References are stable for the
+  /// registry's lifetime (timers are heap-held).  Setup-time only.
   [[nodiscard]] Timer& timer(std::string_view name);
 
-  [[nodiscard]] const std::vector<std::unique_ptr<Counter>>& counters() const noexcept {
-    return counters_;
-  }
-  [[nodiscard]] const std::vector<std::unique_ptr<Gauge>>& gauges() const noexcept {
-    return gauges_;
-  }
   [[nodiscard]] const std::vector<std::unique_ptr<Timer>>& timers() const noexcept {
     return timers_;
   }
@@ -161,8 +127,6 @@ class Registry {
 
  private:
   bool enabled_{false};
-  std::vector<std::unique_ptr<Counter>> counters_;
-  std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<Timer>> timers_;
   std::vector<Span> spans_;
   std::size_t span_capacity_{0};

@@ -1,8 +1,8 @@
 // Periodic timeline sampling of switch state — the "transient effects that
 // may not be visible under simulation" instrument, in exportable form.
 //
-// HybridSwitchFramework drives one TimelineSampler on a fixed virtual-time
-// period when telemetry is enabled: each tick snapshots VOQ occupancy
+// topo::FatTree drives one TimelineSampler on a fixed virtual-time period
+// when telemetry is enabled: each tick folds every rack's VOQ occupancy
 // (total and worst single queue), demand-matrix sparsity, circuit-vs-packet
 // delivered bytes and the deadline-urgent backlog into bounded
 // stats::TimeSeries (shape-preserving stride decimation, so arbitrarily
@@ -34,10 +34,14 @@ struct TimelineSnapshot {
   std::int64_t urgent_bytes{0};        ///< their undelivered bytes
 };
 
+/// Samples kept per timeline series (and per fat-tree tier track) before
+/// stride decimation sets in.
+inline constexpr std::size_t kTimelineCapacity = 4096;
+
 class TimelineSampler {
  public:
   /// `capacity` bounds every series (stride decimation beyond it).
-  explicit TimelineSampler(std::size_t capacity = 4096);
+  explicit TimelineSampler(std::size_t capacity = kTimelineCapacity);
 
   void record(sim::Time at, const TimelineSnapshot& s);
 

@@ -7,7 +7,7 @@ namespace xdrs::obs {
 std::string telemetry_sidecar_json(const RunTelemetry& t, const std::string& key,
                                    const std::string& spec_hash, const std::string& scenario) {
   const Registry& reg = t.registry();
-  std::string out{"{\n  \"telemetry_schema\": 1"};
+  std::string out{"{\n  \"telemetry_schema\": 2"};
   out += ",\n  \"key\": \"" + stats::json_escape(key) + '"';
   out += ",\n  \"spec_hash\": \"" + stats::json_escape(spec_hash) + '"';
   out += ",\n  \"scenario\": \"" + stats::json_escape(scenario) + '"';
@@ -32,33 +32,13 @@ std::string telemetry_sidecar_json(const RunTelemetry& t, const std::string& key
   }
   out += first ? "]" : "\n  ]";
 
-  out += ",\n  \"counters\": [";
-  first = true;
-  for (const auto& c : reg.counters()) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n    {\"name\":\"" + stats::json_escape(c->name()) +
-           "\",\"value\":" + std::to_string(c->value()) + '}';
-  }
-  out += first ? "]" : "\n  ]";
-
-  out += ",\n  \"gauges\": [";
-  first = true;
-  for (const auto& g : reg.gauges()) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n    {\"name\":\"" + stats::json_escape(g->name()) +
-           "\",\"value\":" + stats::format_double(g->value()) + '}';
-  }
-  out += first ? "]" : "\n  ]";
-
   out += ",\n  \"spans_kept\": " + std::to_string(reg.spans().size());
   out += ",\n  \"spans_dropped\": " + std::to_string(reg.spans_dropped());
 
   out += ",\n  \"timeline\": ";
   // timeline_json() renders with 2-space indentation from column 0; reindent
   // under the "timeline" key so the sidecar stays readable as a whole.
-  const std::string tl = timeline_json(t.timeline(), t.resolved_period());
+  const std::string tl = timeline_json(t.timeline(), t.sample_period());
   for (char ch : tl) {
     out += ch;
     if (ch == '\n') out += "  ";

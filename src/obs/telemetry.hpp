@@ -1,5 +1,6 @@
-// Per-run telemetry bundle: the metric registry plus the timeline sampler,
-// owned by HybridSwitchFramework and switched on with enable_telemetry().
+// Per-run telemetry bundle: the stage-timer registry plus the timeline
+// sampler, owned by topo::FatTree (which runs every experiment point) and
+// switched on with FatTree::enable_telemetry().
 //
 // The hard invariant (CI-gated): telemetry NEVER perturbs results.  It
 // writes sidecar documents only — nothing here feeds RunReport::to_json()
@@ -17,21 +18,15 @@
 namespace xdrs::obs {
 
 struct TelemetryConfig {
-  /// Virtual-time distance between timeline samples.  zero = auto: the
-  /// measured duration / 256, clamped to at least 1 us, derived at run().
-  sim::Time sample_period{};
-  /// Bound on every timeline series (stride decimation beyond it).
-  std::size_t timeline_capacity{4096};
   /// Individual compute spans retained for Chrome-trace export (drop-newest
   /// past the bound).  0 = aggregate stage summaries only.
   std::size_t span_log_capacity{0};
 };
 
-/// The telemetry state of one framework run.
+/// The telemetry state of one run.
 class RunTelemetry {
  public:
-  explicit RunTelemetry(const TelemetryConfig& cfg)
-      : config_{cfg}, timeline_{cfg.timeline_capacity} {
+  explicit RunTelemetry(const TelemetryConfig& cfg) {
     registry_.enable();
     if (cfg.span_log_capacity > 0) registry_.reserve_span_log(cfg.span_log_capacity);
   }
@@ -40,26 +35,24 @@ class RunTelemetry {
   [[nodiscard]] const Registry& registry() const noexcept { return registry_; }
   [[nodiscard]] TimelineSampler& timeline() noexcept { return timeline_; }
   [[nodiscard]] const TimelineSampler& timeline() const noexcept { return timeline_; }
-  [[nodiscard]] const TelemetryConfig& config() const noexcept { return config_; }
 
-  /// The period the run actually sampled at (run() resolves auto-derivation
-  /// and records it here for the sidecar).
-  void set_resolved_period(sim::Time p) noexcept { resolved_period_ = p; }
-  [[nodiscard]] sim::Time resolved_period() const noexcept { return resolved_period_; }
+  /// The period the run sampled at (set by FatTree::run() when the
+  /// measured window opens; recorded in the sidecar).
+  void set_sample_period(sim::Time p) noexcept { sample_period_ = p; }
+  [[nodiscard]] sim::Time sample_period() const noexcept { return sample_period_; }
 
  private:
-  TelemetryConfig config_;
   Registry registry_;
   TimelineSampler timeline_;
-  sim::Time resolved_period_{};
+  sim::Time sample_period_{};
 };
 
 /// The per-point telemetry sidecar document: identity header (point key,
 /// spec hash, scenario), per-stage wall-clock summaries (count, total,
 /// Welford mean/stddev, extrema, p50/p99 from the log-bucketed histogram),
-/// counters, gauges, span-log accounting and the embedded timeline
-/// document.  Sidecar-only by construction: callers write this next to —
-/// never into — the result artefact.
+/// span-log accounting and the embedded timeline document.  Sidecar-only
+/// by construction: callers write this next to — never into — the result
+/// artefact.
 [[nodiscard]] std::string telemetry_sidecar_json(const RunTelemetry& t, const std::string& key,
                                                  const std::string& spec_hash,
                                                  const std::string& scenario);

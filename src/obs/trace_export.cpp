@@ -39,10 +39,6 @@ void append_sim_instant(std::string& out, bool& first, const sim::TraceEvent& e)
 
 }  // namespace
 
-std::string chrome_trace_json(const sim::TraceRecorder& sim_trace, const Registry& registry) {
-  return chrome_trace_json(sim_trace, registry, CounterTracks{});
-}
-
 std::string chrome_trace_json(const sim::TraceRecorder& sim_trace, const Registry& registry,
                               const CounterTracks& counters) {
   std::string out{"{\n\"displayTimeUnit\": \"ns\",\n\"traceEvents\": [\n"};

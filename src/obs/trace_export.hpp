@@ -34,16 +34,13 @@ namespace xdrs::obs {
 /// One named counter track: (track name, virtual-time series).
 using CounterTracks = std::vector<std::pair<std::string, const stats::TimeSeries*>>;
 
-[[nodiscard]] std::string chrome_trace_json(const sim::TraceRecorder& sim_trace,
-                                            const Registry& registry);
-
-/// As above, plus one pid-3 counter track per entry of `counters` — the
-/// per-tier gauge series of a fat-tree run (topo::FatTree::tier_series()).
-/// Null or empty series are skipped; an empty list reproduces the two-track
-/// output byte-for-byte.
+/// The merged trace document.  Each non-empty entry of `counters` — the
+/// per-tier series of a multi-rack run (topo::FatTree::tier_series()) —
+/// becomes one pid-3 counter track; null or empty series are skipped, and
+/// with none left the output is the two-track document.
 [[nodiscard]] std::string chrome_trace_json(const sim::TraceRecorder& sim_trace,
                                             const Registry& registry,
-                                            const CounterTracks& counters);
+                                            const CounterTracks& counters = {});
 
 }  // namespace xdrs::obs
 

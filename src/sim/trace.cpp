@@ -22,29 +22,17 @@ const char* to_string(TraceCategory c) noexcept {
   return "unknown";
 }
 
-void TraceRecorder::set_capacity(std::size_t capacity, TraceOverflow policy) {
+void TraceRecorder::set_capacity(std::size_t capacity) {
   capacity_ = capacity == 0 ? 0 : std::max<std::size_t>(capacity, 2);
-  policy_ = policy;
   if (capacity_ != 0) events_.reserve(capacity_);
 }
 
 void TraceRecorder::evict() {
-  if (policy_ == TraceOverflow::kDropOldest) {
-    // Evict the oldest half in one move; amortised O(1) per record and the
-    // vector stays contiguous for events().
-    const std::size_t keep = capacity_ / 2;
-    dropped_ += events_.size() - keep;
-    events_.erase(events_.begin(), events_.end() - static_cast<std::ptrdiff_t>(keep));
-    return;
-  }
-  // kDecimate: drop every other kept event and double the stride, exactly
-  // the stats::TimeSeries scheme — the retained subsample keeps spanning
-  // the whole run instead of only its tail.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < events_.size(); r += 2) events_[w++] = events_[r];
-  dropped_ += events_.size() - w;
-  events_.resize(w);
-  stride_ *= 2;
+  // Evict the oldest half in one move; amortised O(1) per record and the
+  // vector stays contiguous for events().
+  const std::size_t keep = capacity_ / 2;
+  dropped_ += events_.size() - keep;
+  events_.erase(events_.begin(), events_.end() - static_cast<std::ptrdiff_t>(keep));
 }
 
 std::vector<TraceEvent> TraceRecorder::filter(TraceCategory category) const {

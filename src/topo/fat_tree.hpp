@@ -23,7 +23,10 @@
 // A single-rack FatTree degenerates to exactly one framework with no
 // uplinks, no transforms and no core tier, run through the same phased
 // start_run/begin_measurement/finalize_run path run() itself uses — so its
-// report is byte-identical to the plain single-switch run (tested).
+// report is byte-identical to the plain single-switch run (tested).  So
+// FatTree runs every experiment point (exp::run_scenario) and is the one
+// owner of run telemetry: stage timers of every rack, the aggregate
+// timeline and, for multi-rack trees, the tier tracks.
 #ifndef XDRS_TOPO_FAT_TREE_HPP
 #define XDRS_TOPO_FAT_TREE_HPP
 
@@ -114,17 +117,19 @@ class FatTree {
   [[nodiscard]] core::HybridSwitchFramework::IngressTransform placement_transform(
       std::uint32_t rack, double locality, std::uint64_t seed) const;
 
-  /// Topology-owned telemetry: one registry for every tier (per-rack stage
-  /// timers attach to it), per-rack VOQ + core-uplink gauges and
-  /// TimeSeries tracks, and an aggregate timeline folded across racks.
-  /// Sidecar-only, like the single-switch layer.  Call before run().
+  /// The run's telemetry, owned here for every tier: one registry (each
+  /// rack's stage timers attach to it), an aggregate timeline folded
+  /// across racks and, for multi-rack trees, per-tier TimeSeries tracks.
+  /// Sidecar-only: results are byte-identical with it on or off (CI-gated).
+  /// Call before run().
   void enable_telemetry(const obs::TelemetryConfig& tcfg = {});
   [[nodiscard]] obs::RunTelemetry* telemetry() noexcept { return telemetry_.get(); }
   [[nodiscard]] const obs::RunTelemetry* telemetry() const noexcept { return telemetry_.get(); }
 
   /// Per-tier counter tracks for Chrome-trace export: one named series per
   /// ToR ("tor<r>.voq_bytes") plus the core tier's aggregate queue depth
-  /// ("core.queue_bytes").  Populated only when telemetry is enabled.
+  /// ("core.queue_bytes").  Populated only when telemetry is enabled on a
+  /// multi-rack tree; empty for a single switch.
   [[nodiscard]] std::vector<std::pair<std::string, const stats::TimeSeries*>> tier_series() const;
 
   /// Phased execution across every rack on the shared clock; returns the
@@ -152,7 +157,7 @@ class FatTree {
   struct TierSeries {
     std::string name;
     stats::TimeSeries series;
-    TierSeries(std::string n, std::size_t cap) : name{std::move(n)}, series{cap} {}
+    explicit TierSeries(std::string n) : name{std::move(n)}, series{obs::kTimelineCapacity} {}
   };
   std::vector<TierSeries> tier_series_;
 

@@ -97,7 +97,8 @@ TEST(TopologySpecTest, UplinkDerivationFollowsOversubscription) {
 
 TEST(FatTreeRun, SingleRackReproducesTheSingleSwitchRunByteForByte) {
   const ScenarioSpec spec = make_scenario("uniform", 8, 0.7, 7).with_window(1_ms, 200_us);
-  const core::RunReport plain = exp::run_scenario(spec);
+  // A bare framework: run_scenario() itself runs through the tree.
+  const core::RunReport plain = exp::materialize(spec)->run(spec.duration, spec.warmup);
 
   auto ft = exp::materialize_fat_tree(spec);
   ASSERT_EQ(ft->racks(), 1u);

@@ -1,6 +1,7 @@
 // Tests for the observability layer: metric registry, scoped spans,
 // timeline sampler, Chrome trace export (golden file) and the hard
-// telemetry invariant — enabling it never changes results.
+// telemetry invariant — enabling it never changes results, on one switch
+// or on a multi-rack fat-tree.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -23,22 +24,15 @@ using sim::TraceCategory;
 
 TEST(ObsRegistry, FindOrCreateReturnsStableReferences) {
   obs::Registry reg;
-  obs::Counter& c1 = reg.counter("grants");
-  c1.add(3);
-  obs::Counter& c2 = reg.counter("grants");
-  EXPECT_EQ(&c1, &c2);
-  EXPECT_EQ(c2.value(), 3u);
-
   obs::Timer& t1 = reg.timer("matcher_compute");
   obs::Timer& t2 = reg.timer("circuit_plan");
   EXPECT_NE(&t1, &t2);
+  EXPECT_EQ(&reg.timer("matcher_compute"), &t1);
+  EXPECT_EQ(reg.timers().size(), 2u);
   EXPECT_EQ(t1.id(), 0u);
   EXPECT_EQ(t2.id(), 1u);
   EXPECT_EQ(reg.timer_by_id(1), &t2);
   EXPECT_EQ(reg.timer_by_id(7), nullptr);
-
-  reg.gauge("period_us").set(2.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("period_us").value(), 2.5);
 }
 
 TEST(ObsRegistry, TimerAggregatesExactTotalAndWelford) {
@@ -187,26 +181,28 @@ TEST(ChromeTrace, UnclosedPairsSurfaceAsInstants) {
   EXPECT_NO_THROW((void)stats::parse_json(doc));
 }
 
-// ------------------------------------------------- framework end-to-end
+// ------------------------------------------------- fat-tree end-to-end
 
 TEST(Telemetry, NeverPerturbsResults) {
   exp::ScenarioSpec spec = exp::make_scenario("uniform", 4, 0.6, 11);
   spec.with_window(sim::Time::milliseconds(2), sim::Time::microseconds(500));
 
-  const core::RunReport plain = exp::run_scenario(spec);
+  // A bare framework, built without the topology: the comparison also pins
+  // down that materialize() and materialize_fat_tree() build the same run.
+  const core::RunReport plain = exp::materialize(spec)->run(spec.duration, spec.warmup);
 
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
-  fw->enable_telemetry();
-  const core::RunReport instrumented = fw->run(spec.duration, spec.warmup);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize_fat_tree(spec);
+  ft->enable_telemetry();
+  const core::RunReport instrumented = ft->run(spec.duration, spec.warmup);
 
   // The invariant the whole layer hangs on: byte-identical artefacts.
   EXPECT_EQ(plain.to_json(), instrumented.to_json());
 
   // And the instrumented run actually observed things.
-  const obs::RunTelemetry* t = fw->telemetry();
+  const obs::RunTelemetry* t = ft->telemetry();
   ASSERT_NE(t, nullptr);
   EXPECT_GT(t->timeline().samples_offered(), 0u);
-  EXPECT_GT(t->resolved_period(), sim::Time::zero());
+  EXPECT_GT(t->sample_period(), sim::Time::zero());
   bool matcher_profiled = false;
   for (const auto& timer : t->registry().timers()) {
     if (timer->name() == "matcher_compute" && timer->count() > 0) matcher_profiled = true;
@@ -214,24 +210,57 @@ TEST(Telemetry, NeverPerturbsResults) {
   EXPECT_TRUE(matcher_profiled);
 }
 
+TEST(Telemetry, MultiRackNeverPerturbsResultsAndOnlyMultiRackHasTiers) {
+  exp::ScenarioSpec spec = exp::make_scenario("uniform", 8, 0.7, 7);
+  spec.with_window(sim::Time::milliseconds(1), sim::Time::microseconds(200))
+      .with_racks(2)
+      .with_oversubscription(2.0)
+      .with_locality(0.5);
+
+  const core::RunReport plain = exp::run_scenario(spec);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize_fat_tree(spec);
+  ft->enable_telemetry();
+  const core::RunReport instrumented = ft->run(spec.duration, spec.warmup);
+  EXPECT_EQ(plain.to_json(), instrumented.to_json());
+
+  // One track per ToR plus the core, each sampled across the window.
+  const auto tiers = ft->tier_series();
+  ASSERT_EQ(tiers.size(), 3u);
+  EXPECT_EQ(tiers[0].first, "tor0.voq_bytes");
+  EXPECT_EQ(tiers[1].first, "tor1.voq_bytes");
+  EXPECT_EQ(tiers[2].first, "core.queue_bytes");
+  for (const auto& [name, series] : tiers) {
+    EXPECT_EQ(series->offered(), ft->telemetry()->timeline().samples_offered()) << name;
+  }
+
+  // A single switch has no tiers: its timeline already is the ToR's track.
+  spec.with_racks(1);
+  std::unique_ptr<topo::FatTree> one = exp::materialize_fat_tree(spec);
+  one->enable_telemetry();
+  (void)one->run(spec.duration, spec.warmup);
+  EXPECT_TRUE(one->tier_series().empty());
+  EXPECT_GT(one->telemetry()->timeline().samples_offered(), 0u);
+}
+
 TEST(Telemetry, SidecarJsonParsesAndCarriesIdentity) {
   exp::ScenarioSpec spec = exp::make_scenario("uniform", 4, 0.5, 7);
   spec.with_window(sim::Time::milliseconds(1), sim::Time::zero());
 
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
-  obs::TelemetryConfig tc;
-  tc.sample_period = 100_us;
-  fw->enable_telemetry(tc);
-  (void)fw->run(spec.duration, spec.warmup);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize_fat_tree(spec);
+  ft->enable_telemetry();
+  (void)ft->run(spec.duration, spec.warmup);
 
   const std::string doc =
-      obs::telemetry_sidecar_json(*fw->telemetry(), spec.key(), "deadbeef", spec.scenario);
+      obs::telemetry_sidecar_json(*ft->telemetry(), spec.key(), "deadbeef", spec.scenario);
   const stats::JsonValue v = stats::parse_json(doc);
-  EXPECT_EQ(v.at("telemetry_schema").as_u64(), 1u);
+  EXPECT_EQ(v.at("telemetry_schema").as_u64(), 2u);
   EXPECT_EQ(v.at("key").as_str(), spec.key());
   EXPECT_EQ(v.at("spec_hash").as_str(), "deadbeef");
   EXPECT_EQ(v.at("scenario").as_str(), "uniform");
-  EXPECT_DOUBLE_EQ(v.at("timeline").at("sample_period_us").as_f64(), 100.0);
+  EXPECT_EQ(v.find("counters"), nullptr);
+  EXPECT_EQ(v.find("gauges"), nullptr);
+  // The period is derived: the 1 ms measured window over 256 samples.
+  EXPECT_DOUBLE_EQ(v.at("timeline").at("sample_period_us").as_f64(), 1000.0 / 256);
   // Stage entries carry the full summary.
   bool saw_stage = false;
   for (const stats::JsonValue& stage : v.at("stages").items()) {
@@ -247,9 +276,9 @@ TEST(Telemetry, SidecarJsonParsesAndCarriesIdentity) {
 TEST(Telemetry, EnableAfterRunThrows) {
   exp::ScenarioSpec spec = exp::make_scenario("uniform", 4, 0.3, 7);
   spec.with_window(sim::Time::microseconds(200), sim::Time::zero());
-  std::unique_ptr<core::HybridSwitchFramework> fw = exp::materialize(spec);
-  (void)fw->run(spec.duration, spec.warmup);
-  EXPECT_THROW(fw->enable_telemetry(), std::logic_error);
+  std::unique_ptr<topo::FatTree> ft = exp::materialize_fat_tree(spec);
+  (void)ft->run(spec.duration, spec.warmup);
+  EXPECT_THROW(ft->enable_telemetry(), std::logic_error);
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ TEST(TraceRecorder, UnboundedByDefault) {
 
 TEST(TraceRecorder, DropOldestKeepsTheNewestEvents) {
   TraceRecorder t;
-  t.set_capacity(8, TraceOverflow::kDropOldest);
+  t.set_capacity(8);
   t.enable();
   for (int i = 0; i < 20; ++i) t.record(Time::microseconds(i), TraceCategory::kGrant, i);
   EXPECT_LE(t.events().size(), 8u);
@@ -81,25 +81,9 @@ TEST(TraceRecorder, DropOldestKeepsTheNewestEvents) {
   }
 }
 
-TEST(TraceRecorder, DecimateSpansTheWholeRun) {
-  TraceRecorder t;
-  t.set_capacity(4, TraceOverflow::kDecimate);
-  t.enable();
-  for (int i = 0; i < 16; ++i) t.record(Time::microseconds(i), TraceCategory::kGrant, i);
-  EXPECT_EQ(t.offered(), 16u);
-  EXPECT_EQ(t.stride(), 4u);
-  // Every 4th offered event survives — the subsample covers start AND end.
-  ASSERT_EQ(t.events().size(), 4u);
-  EXPECT_EQ(t.events()[0].a, 0u);
-  EXPECT_EQ(t.events()[1].a, 4u);
-  EXPECT_EQ(t.events()[2].a, 8u);
-  EXPECT_EQ(t.events()[3].a, 12u);
-  EXPECT_EQ(t.dropped(), 12u);
-}
-
 TEST(TraceRecorder, CapacityClampedToTwo) {
   TraceRecorder t;
-  t.set_capacity(1, TraceOverflow::kDropOldest);
+  t.set_capacity(1);
   EXPECT_EQ(t.capacity(), 2u);
   t.set_capacity(0);  // back to unbounded
   EXPECT_EQ(t.capacity(), 0u);
@@ -107,13 +91,12 @@ TEST(TraceRecorder, CapacityClampedToTwo) {
 
 TEST(TraceRecorder, ClearResetsBoundingCounters) {
   TraceRecorder t;
-  t.set_capacity(2, TraceOverflow::kDecimate);
+  t.set_capacity(2);
   t.enable();
   for (int i = 0; i < 10; ++i) t.record(Time::microseconds(i), TraceCategory::kGrant);
   t.clear();
   EXPECT_EQ(t.offered(), 0u);
   EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_EQ(t.stride(), 1u);
   EXPECT_TRUE(t.events().empty());
 }
 
