@@ -17,11 +17,8 @@
 // in the spec encoding invalidate automatically (counted as `stale`, same
 // as schema mismatches and unparseable files).  Writes go through a
 // temp-file rename, so concurrent shard processes can share one directory.
-//
-// Elastic sweeps (exp/lease.hpp) co-locate their lease state in a
-// `<dir>/leases/` subdirectory beside the entries; gc() only ever touches
-// regular files matching the cache's own `<16-hex>.json[.tmp.*]` naming
-// scheme, so lease files are never collected.
+// gc() only ever touches regular files matching the cache's own
+// `<16-hex>.json[.tmp.*]` naming scheme.
 #ifndef XDRS_EXP_CACHE_HPP
 #define XDRS_EXP_CACHE_HPP
 

@@ -15,7 +15,6 @@
 
 #include "core/report_io.hpp"
 #include "exp/cache.hpp"
-#include "exp/lease.hpp"
 #include "obs/telemetry.hpp"
 #include "stats/json.hpp"
 #include "util/file_io.hpp"
@@ -49,29 +48,6 @@ core::RunReport run_with_telemetry(const ScenarioSpec& spec, const std::string& 
 }
 
 }  // namespace
-
-// ------------------------------------------------------------- ExecutionPlan
-
-WorkSourceSpec ExecutionPlan::resolved_source() const {
-  if (source.kind == WorkSourceSpec::Kind::kLease) {
-    if (source.lease_dir.empty()) {
-      throw std::invalid_argument{"ExecutionPlan: source.lease_dir must not be empty"};
-    }
-    if (!(source.lease_ttl_s > 0.0)) {
-      throw std::invalid_argument{"ExecutionPlan: source.lease_ttl_s must be > 0"};
-    }
-    return source;
-  }
-  if (source.shard.count == 0) {
-    throw std::invalid_argument{"ExecutionPlan: source.shard.count must be >= 1 (got 0)"};
-  }
-  if (source.shard.index >= source.shard.count) {
-    throw std::invalid_argument{"ExecutionPlan: source.shard.index " +
-                                std::to_string(source.shard.index) + " not in [0, " +
-                                std::to_string(source.shard.count) + ")"};
-  }
-  return source;
-}
 
 // --------------------------------------------------------------- SweepResult
 
@@ -130,9 +106,9 @@ stats::Table SweepResult::table(const std::vector<std::string>& columns) const {
 // ------------------------------------------------------- sharded reassembly
 
 std::string SweepResult::to_shard_json() const {
-  // A well-formed worker result holds its points in strictly ascending grid
-  // order within the grid — what both the static hand-out order and the
-  // lease compaction produce.  Anything else is corrupted metadata.
+  // A well-formed shard result holds its points in strictly ascending grid
+  // order within the grid — what the runner's compaction produces.
+  // Anything else is corrupted metadata.
   for (std::size_t j = 0; j < points.size(); ++j) {
     if (points[j].index >= grid_size || (j > 0 && points[j].index <= points[j - 1].index)) {
       throw std::invalid_argument{"to_shard_json: result does not match its shard/grid metadata"};
@@ -166,12 +142,6 @@ std::string SweepResult::to_shard_json() const {
 
 SweepResult SweepResult::merge_shards(const std::vector<ScenarioSpec>& grid,
                                       const std::vector<std::string>& shard_jsons) {
-  return merge_shards(grid, shard_jsons, nullptr);
-}
-
-SweepResult SweepResult::merge_shards(const std::vector<ScenarioSpec>& grid,
-                                      const std::vector<std::string>& shard_jsons,
-                                      ResultCache* fill_cache) {
   SweepResult result;
   result.grid_size = grid.size();
   result.points.resize(grid.size());
@@ -218,22 +188,6 @@ SweepResult SweepResult::merge_shards(const std::vector<ScenarioSpec>& grid,
     }
   }
 
-  // Backfill pass for elastic sweeps: a worker killed between computing a
-  // point (cache store) and publishing its shard file leaves the report in
-  // the shared cache — recover it from there rather than failing the merge.
-  if (fill_cache != nullptr) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (covered[i]) continue;
-      std::optional<core::RunReport> hit = fill_cache->lookup(grid[i]);
-      if (!hit) continue;
-      result.points[i].spec = grid[i];
-      result.points[i].index = i;
-      result.points[i].report = *std::move(hit);
-      result.points[i].cached = true;
-      covered[i] = true;
-    }
-  }
-
   const std::size_t missing =
       static_cast<std::size_t>(std::count(covered.begin(), covered.end(), false));
   if (missing != 0) {
@@ -245,47 +199,28 @@ SweepResult SweepResult::merge_shards(const std::vector<ScenarioSpec>& grid,
 
 // ---------------------------------------------------------- ExperimentRunner
 
-namespace {
-
-/// Materialises the plan's work source against one grid.
-std::unique_ptr<WorkSource> make_work_source(const WorkSourceSpec& spec,
-                                             const std::vector<ScenarioSpec>& grid) {
-  if (spec.kind == WorkSourceSpec::Kind::kStatic) {
-    return std::make_unique<StaticShardSource>(spec.shard, grid.size());
-  }
-  std::vector<std::string> hashes;
-  hashes.reserve(grid.size());
-  for (const ScenarioSpec& s : grid) hashes.push_back(spec_hash_hex(s));
-  LeaseOptions lo;
-  lo.dir = spec.lease_dir;
-  lo.ttl_s = spec.lease_ttl_s;
-  return std::make_unique<LeaseWorkSource>(std::move(lo), std::move(hashes));
-}
-
-}  // namespace
-
 SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
-  const WorkSourceSpec source_spec = plan_.resolved_source();
+  const ShardOptions shard = plan_.shard;
+  if (shard.count == 0) {
+    throw std::invalid_argument{"ExecutionPlan: shard.count must be >= 1 (got 0)"};
+  }
+  if (shard.index >= shard.count) {
+    throw std::invalid_argument{"ExecutionPlan: shard.index " + std::to_string(shard.index) +
+                                " not in [0, " + std::to_string(shard.count) + ")"};
+  }
 
   SweepResult result;
-  result.shard =
-      source_spec.kind == WorkSourceSpec::Kind::kStatic ? source_spec.shard : ShardOptions{};
+  result.shard = shard;
   result.grid_size = grid.size();
-  if (grid.empty()) return result;
+  const std::size_t owned = shard.owned_of(grid.size());
+  if (owned == 0) return result;
 
-  const std::unique_ptr<WorkSource> source = make_work_source(source_spec, grid);
-  // The progress denominator: exact for a static slice, the whole grid for
-  // elastic runs (how much THIS worker wins is unknowable up front).
-  const std::size_t total_hint = source_spec.kind == WorkSourceSpec::Kind::kStatic
-                                     ? source_spec.shard.owned_of(grid.size())
-                                     : grid.size();
-  if (total_hint == 0) return result;
-
-  // Completion order is nondeterministic (threads, steals), so workers drop
-  // results into grid-indexed slots and the tail compacts them in grid
-  // order — the artefact bytes can't tell how points were claimed.
-  std::vector<PointResult> slots(grid.size());
-  std::vector<char> filled(grid.size(), 0);  // char: vector<bool> is not thread-safe
+  // Workers take the shard's j-th point, shard.index + j * shard.count, from
+  // one counter.  Completion order is nondeterministic, so each result
+  // lands in its own slot and the slots stay in grid order — the artefact
+  // bytes can't tell how many threads ran.
+  std::vector<PointResult> slots(owned);
+  std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::size_t completed = 0;
   std::mutex mutex;  // guards `completed`, `error` and the progress callback
@@ -296,10 +231,10 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
       // A failed point aborts the whole sweep: don't burn the remaining
       // grid on the surviving workers just to rethrow afterwards.
       if (failed.load(std::memory_order_relaxed)) return;
-      const std::optional<std::size_t> claim = source->next_point();
-      if (!claim) return;
-      const std::size_t i = *claim;
-      PointResult& slot = slots[i];
+      const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
+      if (j >= owned) return;
+      const std::size_t i = shard.index + j * shard.count;
+      PointResult& slot = slots[j];
       slot.spec = grid[i];
       slot.index = i;
       const auto point_began = std::chrono::steady_clock::now();
@@ -317,9 +252,8 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
             // Caching is best-effort: a full disk or permission flap on the
             // cache directory must not abort a sweep whose simulations are
             // succeeding.  The cache counts the failure (store_failures).
-            // For lease runs the order matters: the store precedes the
-            // completion marker, so a completed point's report is always
-            // recoverable from the cache even if this process dies now.
+            // Storing each point as it finishes is what lets a rerun of a
+            // killed shard recompute only the point that was in flight.
             try {
               plan_.cache->store(slot.spec, slot.report);
             } catch (const std::runtime_error&) {
@@ -327,7 +261,6 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
           }
         }
       } catch (...) {
-        source->abandon(i);
         failed.store(true, std::memory_order_relaxed);
         const std::lock_guard<std::mutex> lock{mutex};
         if (!error) error = std::current_exception();
@@ -336,19 +269,16 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
       slot.wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
                          std::chrono::steady_clock::now() - point_began)
                          .count();
-      // complete() returning false means another worker finished a stolen
-      // twin of this claim first; drop our copy so merges stay exactly-once.
-      if (source->complete(i)) filled[i] = 1;
       if (plan_.progress) {
         const std::lock_guard<std::mutex> lock{mutex};
-        plan_.progress(++completed, total_hint, slot.spec);
+        plan_.progress(++completed, owned, slot.spec);
       }
     }
   };
 
   unsigned threads = plan_.threads != 0 ? plan_.threads
                                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = static_cast<unsigned>(std::min<std::size_t>(threads, total_hint));
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, owned));
 
   if (threads <= 1) {
     work();
@@ -359,12 +289,8 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
     for (auto& t : pool) t.join();
   }
 
-  result.source_stats = source->stats();
   if (error) std::rethrow_exception(error);
-
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (filled[i] != 0) result.points.push_back(std::move(slots[i]));
-  }
+  result.points = std::move(slots);
   return result;
 }
 

@@ -8,19 +8,15 @@
 // fixed grid and seeds, every emitted byte is identical whether the sweep
 // ran on 1 thread or 64, and regardless of completion order.
 //
-// Three orthogonal scale-out mechanisms ride on that determinism:
-//   * A WorkSource (exp/work_source.hpp) decides which points this process
-//     runs: StaticShardSource slices the grid by index (point i belongs to
-//     shard i % count), LeaseWorkSource (exp/lease.hpp) lets any number of
-//     worker processes claim points dynamically through lease files in a
-//     shared directory, stealing from workers that die.
-//   * Per-worker results serialize with to_shard_json() and
-//     SweepResult::merge_shards() reassembles the full grid-order result,
-//     byte-identical to a single-process run however points were claimed.
+// Two scale-out mechanisms ride on that determinism:
+//   * A static shard (ShardOptions) runs one slice of the grid per process:
+//     point i belongs to shard i % count.  Per-shard results serialize with
+//     to_shard_json() and SweepResult::merge_shards() reassembles the full
+//     grid-order result, byte-identical to a single-process run.
 //   * A ResultCache (exp/cache.hpp) skips points whose reports are already
-//     on disk, making iteration on one axis cheap — and backfilling merges
-//     when an elastic worker died after computing (cache write) but before
-//     publishing its shard file.
+//     on disk, making iteration on one axis cheap.  Every point is stored
+//     the moment it finishes, so rerunning a killed shard with the same
+//     cache recomputes only the point that was in flight.
 #ifndef XDRS_EXP_RUNNER_HPP
 #define XDRS_EXP_RUNNER_HPP
 
@@ -30,21 +26,34 @@
 #include <vector>
 
 #include "exp/scenario.hpp"
-#include "exp/work_source.hpp"
 #include "stats/table.hpp"
 
 namespace xdrs::exp {
 
 class ResultCache;
 
-/// Everything that shapes one sweep's execution — threads, work source,
-/// cache, telemetry — in one validated value.
+/// Deterministic shard-by-index slice of a grid: this process owns point i
+/// iff i % count == index.  The default {0, 1} owns everything.
+struct ShardOptions {
+  std::size_t index{0};
+  std::size_t count{1};
+
+  [[nodiscard]] bool owns(std::size_t i) const noexcept { return i % count == index; }
+  /// Points of an n-point grid this shard owns.
+  [[nodiscard]] std::size_t owned_of(std::size_t n) const noexcept {
+    return n / count + (n % count > index ? 1 : 0);
+  }
+};
+
+/// Everything that shapes one sweep's execution — threads, shard, cache,
+/// telemetry — in one value.
 struct ExecutionPlan {
   /// Worker threads; 0 = one per hardware thread.
   unsigned threads{0};
-  /// Which points this process runs and in what order: a static shard
-  /// (default: the whole grid) or a lease directory for elastic workers.
-  WorkSourceSpec source{};
+  /// Which points this process runs (default: the whole grid).  run()
+  /// throws std::invalid_argument naming the bad field when shard.count is
+  /// 0 or shard.index is out of range.
+  ShardOptions shard{};
   /// Optional result cache: points whose reports are cached are not
   /// simulated (cache->stats() says how many), fresh reports are stored
   /// best-effort (a failing cache directory never aborts the sweep).
@@ -58,16 +67,10 @@ struct ExecutionPlan {
   /// (CI-gated), and writes are best-effort like cache stores.
   std::string telemetry_dir;
   /// Optional progress callback, invoked after each completed point with
-  /// (completed, total-claimable, point).  Called from worker threads under
-  /// a lock; completion order is nondeterministic, so route it to
+  /// (completed, points the shard owns, point).  Called from worker threads
+  /// under a lock; completion order is nondeterministic, so route it to
   /// stderr/logging, never into result artefacts.
   std::function<void(std::size_t, std::size_t, const ScenarioSpec&)> progress;
-
-  /// The single source of truth for execution-plan validation: returns
-  /// `source`, or throws std::invalid_argument naming the bad field
-  /// (source.shard.count of 0, source.shard.index out of range, empty
-  /// source.lease_dir, non-positive source.lease_ttl_s).
-  [[nodiscard]] WorkSourceSpec resolved_source() const;
 };
 
 /// One grid point: the spec that was run and what came back.
@@ -75,7 +78,7 @@ struct PointResult {
   ScenarioSpec spec;
   core::RunReport report;
   /// Index of this point in the full grid; to_shard_json() records it so
-  /// merges reassemble grid order no matter which worker claimed what.
+  /// merges reassemble grid order from any set of shards.
   std::size_t index{0};
   /// Wall-clock microseconds this point took in this process (simulation,
   /// or the cache round-trip that replaced it — cached points read as ~0).
@@ -91,17 +94,13 @@ struct PointResult {
 };
 
 /// Results of one sweep: the points this run computed, in grid order.  For
-/// an unsharded static run that is the whole grid; for a sharded or
-/// lease-claimed run it is the subsequence this worker won (each point
-/// carries its grid index).
+/// an unsharded run that is the whole grid; for a sharded run it is the
+/// subsequence the shard owns (each point carries its grid index).
 class SweepResult {
  public:
   std::vector<PointResult> points;
   ShardOptions shard{};
   std::size_t grid_size{0};  ///< full grid size (== points.size() iff complete)
-  /// Claim/steal accounting from the run's work source (all-zero for
-  /// merged results, which nobody claimed).
-  WorkSourceStats source_stats{};
 
   /// Totals: every held point's report folded into one.
   [[nodiscard]] core::RunReport merged() const;
@@ -127,28 +126,16 @@ class SweepResult {
   /// `grid` (stale shard files), duplicate or missing points.
   [[nodiscard]] static SweepResult merge_shards(const std::vector<ScenarioSpec>& grid,
                                                 const std::vector<std::string>& shard_jsons);
-
-  /// Same, but points no shard file covers are filled from `fill_cache`
-  /// before the missing-point check — the recovery path for elastic sweeps
-  /// where a worker died after computing points (cache stores happen first)
-  /// but before publishing its shard file.  Filled points read as cached
-  /// with unmeasured wall time; byte-identity of to_json()/to_csv() holds
-  /// because cache entries round-trip exact report state.
-  [[nodiscard]] static SweepResult merge_shards(const std::vector<ScenarioSpec>& grid,
-                                                const std::vector<std::string>& shard_jsons,
-                                                ResultCache* fill_cache);
 };
 
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExecutionPlan plan = {}) : plan_{std::move(plan)} {}
 
-  /// Runs every point of `grid` the plan's work source hands this process.
-  /// Exceptions thrown by a point (unknown policy names, config errors) are
-  /// rethrown on the calling thread after the pool drains; the claims of
-  /// unfinished points are released first.  Throws std::invalid_argument on
-  /// malformed plans (ExecutionPlan::resolved_source) and
-  /// std::runtime_error when a lease directory cannot be created.
+  /// Runs every point of `grid` the plan's shard owns.  Exceptions thrown
+  /// by a point (unknown policy names, config errors) are rethrown on the
+  /// calling thread after the pool drains.  Throws std::invalid_argument on
+  /// a malformed shard (ExecutionPlan::shard).
   [[nodiscard]] SweepResult run(const std::vector<ScenarioSpec>& grid) const;
 
  private:

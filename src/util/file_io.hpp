@@ -17,8 +17,8 @@ namespace xdrs::util {
 void write_file(const std::string& path, std::string_view content);
 
 /// A 16-hex token unique across threads and (with overwhelming probability)
-/// processes, for naming temp files that concurrent writers publish via
-/// atomic rename/link — the cache and the lease protocol both build on it.
+/// processes, for naming temp files that concurrent cache writers publish
+/// via atomic rename.
 [[nodiscard]] std::string unique_tmp_token();
 
 }  // namespace xdrs::util

@@ -376,8 +376,8 @@ TEST(DeadlineProperties, DeadlineSweepIsThreadInvariantAndMergesExactly) {
   EXPECT_EQ(serial.to_csv(), threaded.to_csv());
 
   exp::ExecutionPlan s0, s1;
-  s0.source.shard = {0, 2};
-  s1.source.shard = {1, 2};
+  s0.shard = {0, 2};
+  s1.shard = {1, 2};
   const exp::SweepResult merged = exp::SweepResult::merge_shards(
       grid, {exp::ExperimentRunner{s0}.run(grid).to_shard_json(),
              exp::ExperimentRunner{s1}.run(grid).to_shard_json()});

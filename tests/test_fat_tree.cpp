@@ -195,7 +195,7 @@ TEST(FatTreeSweep, TwoShardMergeMatchesTheUnshardedRun) {
   std::vector<std::string> shard_jsons;
   for (std::size_t i = 0; i < 2; ++i) {
     exp::ExecutionPlan opts;
-    opts.source.shard = {i, 2};
+    opts.shard = {i, 2};
     shard_jsons.push_back(exp::ExperimentRunner{opts}.run(grid).to_shard_json());
   }
   const exp::SweepResult merged = exp::SweepResult::merge_shards(grid, shard_jsons);

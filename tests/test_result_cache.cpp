@@ -216,7 +216,7 @@ TEST_F(ResultCacheTest, ShardsCanShareOneCacheDirectory) {
   for (std::size_t shard = 0; shard < 2; ++shard) {
     ResultCache cache{dir_};
     ExecutionPlan opts;
-    opts.source.shard = {shard, 2};
+    opts.shard = {shard, 2};
     opts.cache = &cache;
     (void)ExperimentRunner{opts}.run(grid);
     EXPECT_EQ(cache.stats().stores, 2u);

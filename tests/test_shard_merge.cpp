@@ -1,11 +1,14 @@
 // Tests for sharded sweeps: deterministic shard-by-index ownership, shard
-// file round-trip, and the reassembly guarantee — merge_shards() of per-shard
+// file round-trip, the reassembly guarantee — merge_shards() of per-shard
 // results is byte-identical through to_json()/to_csv() to a single-process
-// run of the same grid.
+// run of the same grid — and recovery of a killed shard from the cache.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 
+#include "exp/cache.hpp"
 #include "exp/runner.hpp"
 #include "stats/json.hpp"
 
@@ -26,7 +29,7 @@ std::vector<ScenarioSpec> small_grid() {
 SweepResult run_shard(const std::vector<ScenarioSpec>& grid, std::size_t index,
                       std::size_t count) {
   ExecutionPlan opts;
-  opts.source.shard = {index, count};
+  opts.shard = {index, count};
   return ExperimentRunner{opts}.run(grid);
 }
 
@@ -55,12 +58,21 @@ TEST(ShardedRun, RunsExactlyTheOwnedSubsequenceInGridOrder) {
 }
 
 TEST(ShardedRun, InvalidShardOptionsThrow) {
+  // The message names the bad field, so a caller knows what to fix.
+  const auto message_of = [](const ExecutionPlan& plan) -> std::string {
+    try {
+      (void)ExperimentRunner{plan}.run(small_grid());
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
   ExecutionPlan zero;
-  zero.source.shard = {0, 0};
-  EXPECT_THROW((void)ExperimentRunner{zero}.run(small_grid()), std::invalid_argument);
+  zero.shard = {0, 0};
+  EXPECT_NE(message_of(zero).find("shard.count"), std::string::npos);
   ExecutionPlan oob;
-  oob.source.shard = {2, 2};
-  EXPECT_THROW((void)ExperimentRunner{oob}.run(small_grid()), std::invalid_argument);
+  oob.shard = {2, 2};
+  EXPECT_NE(message_of(oob).find("shard.index"), std::string::npos);
 }
 
 TEST(ShardMerge, TwoShardsReassembleByteIdenticalToOneProcess) {
@@ -174,6 +186,43 @@ TEST(ShardMerge, SingleShardOfOneIsTheWholeSweep) {
   const SweepResult merged =
       SweepResult::merge_shards(grid, {run_shard(grid, 0, 1).to_shard_json()});
   EXPECT_EQ(merged.to_json(), single.to_json());
+}
+
+// A shard process killed mid-run leaves behind the cache entries of the
+// points it finished.  Rerunning the shard with the same cache serves those
+// from the cache, computes the rest, and merges byte-identical.
+TEST(ShardMerge, KilledShardRerunsFromTheCacheAndMergesByteIdentical) {
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("xdrs_shard_rerun_" +
+                            std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  const auto grid = small_grid();
+  ExecutionPlan single_opts;
+  single_opts.threads = 1;
+  const SweepResult single = ExperimentRunner{single_opts}.run(grid);
+
+  // Shard 0/2 owns points 0, 2, 4, 6; its worker finished 0 and 2, then died.
+  const std::vector<std::size_t> finished{0, 2};
+  {
+    ResultCache dead{dir};
+    for (const std::size_t i : finished) dead.store(grid[i], run_scenario(grid[i]));
+  }
+
+  ResultCache cache{dir};
+  ExecutionPlan rerun_opts;
+  rerun_opts.shard = {0, 2};
+  rerun_opts.cache = &cache;
+  const SweepResult rerun = ExperimentRunner{rerun_opts}.run(grid);
+  EXPECT_EQ(cache.stats().hits, finished.size());
+  EXPECT_EQ(cache.stats().misses, rerun.points.size() - finished.size());
+  EXPECT_TRUE(rerun.points[0].cached);
+  EXPECT_FALSE(rerun.points[2].cached);
+
+  const SweepResult merged = SweepResult::merge_shards(
+      grid, {rerun.to_shard_json(), run_shard(grid, 1, 2).to_shard_json()});
+  EXPECT_EQ(merged.to_json(), single.to_json());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,10 +2,8 @@
 //
 // A grid preset names a deterministic grid (exp/presets.hpp), so separate
 // processes — or separate hosts sharing nothing but these files — can each
-// run a slice and a final merge reassembles the exact single-process
-// artefact.  Two fan-out styles, freely mixable per ExecutionPlan:
-//
-// Static shards (fixed point → process assignment):
+// run a static shard of it (point i belongs to shard i % N) and a final
+// merge reassembles the exact single-process artefact:
 //
 //   host A$ sweepctl run --preset small --shard 0/2 --cache cache/ --out shard0.json
 //   host B$ sweepctl run --preset small --shard 1/2 --cache cache/ --out shard1.json
@@ -13,22 +11,12 @@
 //        $ sweepctl run --preset small --out whole.json
 //        $ cmp sweep.json whole.json                               # byte-identical
 //
-// Elastic workers (lease-based work stealing — any number of processes,
-// join or die at any time, one slow host no longer gates the sweep):
-//
-//   host A$ sweepctl run --preset small --claim cache/ --out w1.json
-//   host B$ sweepctl run --preset small --claim cache/ --out w2.json
-//        $ sweepctl status --preset small --leases --claim cache/
-//        $ sweepctl merge --preset small --claim cache/ --out sweep.json w1.json w2.json
-//
-// `--claim DIR` claims points through lease files in DIR/leases (and uses
-// DIR as the result cache); a worker that dies stops heartbeating and its
-// points are stolen by the survivors after --ttl.  Because the simulator is
-// deterministic the merged artefact is byte-identical to a single-process
-// run no matter who computed what (CI-gated).  `status` reports grid size,
-// cache presence, shard-file coverage and (with --leases) live/stale/
-// requeued claims; `presets` lists the grids.  `gc` evicts cache entries
-// older than --keep-days.
+// Every finished point is stored in the --cache directory at once, so a
+// shard whose process died is rerun with the same command: it recomputes
+// only the point that was in flight, and the merge is still byte-identical
+// (CI-gated).  `status` reports grid size, cache presence, shard-file
+// coverage and straggler shards; `presets` lists the grids.  `gc` evicts
+// cache entries older than --keep-days.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -42,7 +30,6 @@
 #include <vector>
 
 #include "exp/cache.hpp"
-#include "exp/lease.hpp"
 #include "exp/presets.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
@@ -63,27 +50,19 @@ int usage(const char* error = nullptr) {
                "\n"
                "commands:\n"
                "  presets                       list grid presets and their sizes\n"
-               "  run    --preset NAME [--shard I/N | --claim DIR [--ttl S]]\n"
-               "         [--cache DIR] [--threads N] --out FILE [--csv FILE]\n"
-               "         [--telemetry DIR] [--progress]\n"
-               "                                run the grid, one static shard of it\n"
-               "                                (--shard), or an elastic lease-claiming\n"
-               "                                worker's share (--claim, which also uses\n"
-               "                                DIR as the result cache).\n"
+               "  run    --preset NAME [--shard I/N] [--cache DIR] [--threads N]\n"
+               "         --out FILE [--csv FILE] [--telemetry DIR] [--progress]\n"
+               "                                run the grid or one static shard of it.\n"
                "                                whole grid: writes the sweep artefact JSON;\n"
-               "                                shard/lease: writes a shard file for merge.\n"
+               "                                shard: writes a shard file for merge.\n"
+               "                                rerunning a dead shard with the same --cache\n"
+               "                                recomputes only its unfinished points.\n"
                "                                --telemetry drops a per-point sidecar into DIR\n"
                "                                (artefacts stay byte-identical)\n"
-               "  merge  --preset NAME [--cache DIR | --claim DIR] --out FILE SHARD.json...\n"
+               "  merge  --preset NAME --out FILE SHARD.json...\n"
                "                                reassemble shard files into the artefact,\n"
-               "                                byte-identical to a single-process run; with\n"
-               "                                a cache, points no shard file covers (worker\n"
-               "                                died before publishing) are recovered from it\n"
-               "  status --preset NAME [--cache DIR] [--leases [--claim DIR] [--ttl S]]\n"
-               "         [--telemetry DIR --stages] [SHARD.json...]\n"
-               "                                with --leases, show per-point claim state\n"
-               "                                (done/live/stale/unclaimed) and requeue\n"
-               "                                counts from the lease directory;\n"
+               "                                byte-identical to a single-process run\n"
+               "  status --preset NAME [--cache DIR] [--telemetry DIR --stages] [SHARD.json...]\n"
                "                                show grid size, cache and shard coverage;\n"
                "                                with shard files, report straggler shards,\n"
                "                                cache-hit vs compute wall split, the\n"
@@ -113,11 +92,7 @@ struct Options {
   std::string telemetry_dir;
   std::string scenario;  // trace
   std::string policies;  // trace; empty = the scenario's default stack
-  std::string claim_dir;  // --claim; elastic lease-claiming worker
   exp::ShardOptions shard{};
-  bool shard_given{false};
-  double ttl_s{60.0};  // --ttl; lease TTL for --claim and --leases
-  bool leases{false};  // status: lease-state report
   unsigned threads{0};
   std::uint32_t ports{8};    // trace
   double load{0.5};          // trace
@@ -142,93 +117,88 @@ bool parse_shard(const std::string& val, exp::ShardOptions& shard) {
   return shard.count >= 1 && shard.index < shard.count;
 }
 
+/// Fills `opt` from the command line.  On a malformed command line prints
+/// what is wrong with which flag and returns false (the caller then prints
+/// the usage text).
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
-    const auto next = [&]() -> const char* {
-      if (a + 1 >= argc) return nullptr;
-      return argv[++a];
-    };
     const auto eq = arg.find('=');
     // Accept both "--flag=value" and "--flag value".
     const std::string key = arg.substr(0, eq);
     std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
     const auto value = [&]() -> bool {
       if (eq != std::string::npos) return true;
-      const char* v = next();
-      if (v == nullptr) return false;
-      val = v;
+      if (a + 1 >= argc) {
+        std::fprintf(stderr, "sweepctl: %s: missing value\n", key.c_str());
+        return false;
+      }
+      val = argv[++a];
       return true;
     };
-    try {
-      if (key == "--preset") {
-        if (!value()) return false;
-        opt.preset = val;
-      } else if (key == "--shard") {
-        if (!value() || !parse_shard(val, opt.shard)) return false;
-        opt.shard_given = true;
-      } else if (key == "--claim") {
-        if (!value()) return false;
-        opt.claim_dir = val;
-      } else if (key == "--ttl") {
-        if (!value() || !util::parse_number(val, opt.ttl_s) || opt.ttl_s <= 0.0) return false;
-      } else if (key == "--leases") {
-        opt.leases = true;
-      } else if (key == "--cache") {
-        if (!value()) return false;
-        opt.cache_dir = val;
-      } else if (key == "--out") {
-        if (!value()) return false;
-        opt.out_path = val;
-      } else if (key == "--csv") {
-        if (!value()) return false;
-        opt.csv_path = val;
-      } else if (key == "--threads") {
-        // Same whole-token, in-range rule as --shard: "--threads=2x" must
-        // not silently run with 2 threads, nor an overflowing or negative
-        // value with a wrapped thread count.
-        if (!value() || !util::parse_number(val, opt.threads)) return false;
-      } else if (key == "--keep-days") {
-        if (!value() || !util::parse_number(val, opt.keep_days) || opt.keep_days < 0.0) {
-          return false;
-        }
-      } else if (key == "--telemetry") {
-        if (!value()) return false;
-        opt.telemetry_dir = val;
-      } else if (key == "--scenario") {
-        if (!value()) return false;
-        opt.scenario = val;
-      } else if (key == "--policies") {
-        if (!value()) return false;
-        opt.policies = val;
-      } else if (key == "--ports") {
-        if (!value() || !util::parse_number(val, opt.ports) || opt.ports < 2) return false;
-      } else if (key == "--load") {
-        if (!value() || !util::parse_number(val, opt.load) || opt.load <= 0.0) return false;
-      } else if (key == "--seed") {
-        if (!value() || !util::parse_number(val, opt.seed)) return false;
-      } else if (key == "--racks") {
-        if (!value() || !util::parse_number(val, opt.racks) || opt.racks < 1) return false;
-      } else if (key == "--oversub") {
-        if (!value() || !util::parse_number(val, opt.oversub) || opt.oversub <= 0.0) return false;
-      } else if (key == "--locality") {
-        if (!value() || !util::parse_number(val, opt.locality) || opt.locality < 0.0 ||
-            opt.locality > 1.0) {
-          return false;
-        }
-      } else if (key == "--stages") {
-        opt.stages = true;
-      } else if (key == "--progress") {
-        opt.progress = true;
-      } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
+    // Numeric values are whole-token, in-range parses (util::parse_number):
+    // "--threads=2x" must not silently run with 2 threads.
+    const auto check = [&](bool ok) {
+      if (!ok) std::fprintf(stderr, "sweepctl: %s: bad value '%s'\n", key.c_str(), val.c_str());
+      return ok;
+    };
+    if (key == "--preset") {
+      if (!value()) return false;
+      opt.preset = val;
+    } else if (key == "--shard") {
+      if (!value() || !check(parse_shard(val, opt.shard))) return false;
+    } else if (key == "--cache") {
+      if (!value()) return false;
+      opt.cache_dir = val;
+    } else if (key == "--out") {
+      if (!value()) return false;
+      opt.out_path = val;
+    } else if (key == "--csv") {
+      if (!value()) return false;
+      opt.csv_path = val;
+    } else if (key == "--threads") {
+      if (!value() || !check(util::parse_number(val, opt.threads))) return false;
+    } else if (key == "--keep-days") {
+      if (!value() || !check(util::parse_number(val, opt.keep_days) && opt.keep_days >= 0.0)) {
         return false;
-      } else {
-        opt.inputs.push_back(arg);
       }
-    } catch (const std::exception&) {
+    } else if (key == "--telemetry") {
+      if (!value()) return false;
+      opt.telemetry_dir = val;
+    } else if (key == "--scenario") {
+      if (!value()) return false;
+      opt.scenario = val;
+    } else if (key == "--policies") {
+      if (!value()) return false;
+      opt.policies = val;
+    } else if (key == "--ports") {
+      if (!value() || !check(util::parse_number(val, opt.ports) && opt.ports >= 2)) return false;
+    } else if (key == "--load") {
+      if (!value() || !check(util::parse_number(val, opt.load) && opt.load > 0.0)) return false;
+    } else if (key == "--seed") {
+      if (!value() || !check(util::parse_number(val, opt.seed))) return false;
+    } else if (key == "--racks") {
+      if (!value() || !check(util::parse_number(val, opt.racks) && opt.racks >= 1)) return false;
+    } else if (key == "--oversub") {
+      if (!value() || !check(util::parse_number(val, opt.oversub) && opt.oversub > 0.0)) {
+        return false;
+      }
+    } else if (key == "--locality") {
+      if (!value() || !check(util::parse_number(val, opt.locality) && opt.locality >= 0.0 &&
+                             opt.locality <= 1.0)) {
+        return false;
+      }
+    } else if (key == "--stages") {
+      opt.stages = true;
+    } else if (key == "--progress") {
+      opt.progress = true;
+    } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
+      std::fprintf(stderr, "sweepctl: unknown flag '%s'\n", key.c_str());
       return false;
+    } else {
+      opt.inputs.push_back(arg);
     }
   }
   return true;
@@ -261,41 +231,22 @@ int cmd_presets() {
   return 0;
 }
 
-/// Folds the --shard/--claim flags into one WorkSourceSpec;
-/// ExecutionPlan::resolved_source() stays the single validation path for
-/// field values, this only rejects the contradictory combination.
-exp::WorkSourceSpec resolve_source_flags(const Options& opt) {
-  if (opt.shard_given && !opt.claim_dir.empty()) {
-    throw std::invalid_argument{"--shard and --claim are mutually exclusive"};
-  }
-  if (!opt.claim_dir.empty()) return exp::WorkSourceSpec::lease(opt.claim_dir, opt.ttl_s);
-  return exp::WorkSourceSpec::static_shard(opt.shard);
-}
-
 int cmd_run(const Options& opt) {
   if (opt.out_path.empty()) return usage("run: --out is required");
-  const exp::WorkSourceSpec source = resolve_source_flags(opt);
-  const bool lease = source.kind == exp::WorkSourceSpec::Kind::kLease;
-  // Partial results (a static slice or an elastic worker's winnings) emit
-  // shard files for merge; only a whole-grid run writes the artefact.
-  const bool shard_file = lease || source.shard.count > 1;
+  // A shard of a split grid emits a shard file for merge; only a whole-grid
+  // run writes the artefact.
+  const bool shard_file = opt.shard.count > 1;
   if (shard_file && !opt.csv_path.empty()) {
     return usage("run: --csv applies to whole-grid runs only (merge emits the artefact)");
   }
   const std::vector<exp::ScenarioSpec> grid = exp::make_preset(opt.preset);
 
-  // Elastic workers default their result cache to the claim directory:
-  // that is what makes a killed worker's computed-but-unpublished points
-  // recoverable at merge time.
-  const std::string cache_dir = !opt.cache_dir.empty() ? opt.cache_dir
-                               : lease                 ? source.lease_dir
-                                                       : std::string{};
   std::optional<exp::ResultCache> cache;
-  if (!cache_dir.empty()) cache.emplace(cache_dir);
+  if (!opt.cache_dir.empty()) cache.emplace(opt.cache_dir);
 
   exp::ExecutionPlan plan;
   plan.threads = opt.threads;
-  plan.source = source;
+  plan.shard = opt.shard;
   plan.cache = cache ? &*cache : nullptr;
   plan.telemetry_dir = opt.telemetry_dir;
   if (opt.progress) {
@@ -309,19 +260,8 @@ int cmd_run(const Options& opt) {
   write_file(opt.out_path, shard_file ? result.to_shard_json() : result.to_json());
   if (!opt.csv_path.empty()) write_file(opt.csv_path, result.to_csv());
 
-  if (lease) {
-    const exp::WorkSourceStats& ws = result.source_stats;
-    std::printf("preset %s: %zu points, worker kept %zu (claimed %llu, %llu already done, "
-                "requeued %llu, lost %llu)\n",
-                opt.preset.c_str(), grid.size(), result.points.size(),
-                static_cast<unsigned long long>(ws.claimed),
-                static_cast<unsigned long long>(ws.already_done),
-                static_cast<unsigned long long>(ws.requeued),
-                static_cast<unsigned long long>(ws.lost));
-  } else {
-    std::printf("preset %s: %zu points, shard %zu/%zu ran %zu\n", opt.preset.c_str(), grid.size(),
-                source.shard.index, source.shard.count, result.points.size());
-  }
+  std::printf("preset %s: %zu points, shard %zu/%zu ran %zu\n", opt.preset.c_str(), grid.size(),
+              opt.shard.index, opt.shard.count, result.points.size());
   if (cache) {
     const exp::CacheStats cs = cache->stats();
     std::printf("cache %s: %llu hits, %llu misses, %llu stale, %llu stored (%llu simulated)\n",
@@ -347,26 +287,11 @@ int cmd_merge(const Options& opt) {
   payloads.reserve(opt.inputs.size());
   for (const std::string& path : opt.inputs) payloads.push_back(read_file(path));
 
-  // With a cache (--cache, or the elastic sweep's --claim directory),
-  // points no shard file covers — a worker died after computing them but
-  // before publishing its shard file — are recovered from cache entries.
-  const std::string cache_dir = !opt.cache_dir.empty() ? opt.cache_dir : opt.claim_dir;
-  std::optional<exp::ResultCache> cache;
-  if (!cache_dir.empty()) cache.emplace(cache_dir);
-
-  const exp::SweepResult result =
-      exp::SweepResult::merge_shards(grid, payloads, cache ? &*cache : nullptr);
+  const exp::SweepResult result = exp::SweepResult::merge_shards(grid, payloads);
   write_file(opt.out_path, result.to_json());
   if (!opt.csv_path.empty()) write_file(opt.csv_path, result.to_csv());
   std::printf("merged %zu shard files into %s (%zu points)\n", opt.inputs.size(),
               opt.out_path.c_str(), result.points.size());
-  if (cache) {
-    const exp::CacheStats cs = cache->stats();
-    if (cs.hits != 0) {
-      std::printf("recovered %llu uncovered points from cache %s\n",
-                  static_cast<unsigned long long>(cs.hits), cache->dir().c_str());
-    }
-  }
   return 0;
 }
 
@@ -436,54 +361,9 @@ void print_stage_breakdown(const std::string& dir) {
   }
 }
 
-/// The elastic-sweep view: per-point claim state from the lease directory.
-/// Read-only — reporting must never perturb a live fleet's claims.
-int print_lease_report(const Options& opt, const std::vector<exp::ScenarioSpec>& grid) {
-  const std::string dir = !opt.claim_dir.empty() ? opt.claim_dir : opt.cache_dir;
-  if (dir.empty()) {
-    std::fprintf(stderr, "sweepctl: status --leases needs --claim DIR (or --cache DIR)\n");
-    return 2;
-  }
-  std::vector<std::string> hashes;
-  hashes.reserve(grid.size());
-  for (const exp::ScenarioSpec& spec : grid) hashes.push_back(exp::spec_hash_hex(spec));
-  const exp::LeaseScan scan = exp::scan_leases(dir, hashes, opt.ttl_s);
-  std::printf("leases %s: %zu done, %zu live, %zu stale, %zu unclaimed, %zu requeued\n",
-              dir.c_str(), scan.done, scan.live, scan.stale, scan.unclaimed, scan.requeued);
-  for (const exp::LeaseScan::Point& p : scan.points) {
-    // One line per point that tells an operator something: in-flight claims
-    // (live or stale) and any point a steal has requeued.
-    const char* state = nullptr;
-    switch (p.state) {
-      case exp::LeaseScan::State::kLive:
-        state = "live";
-        break;
-      case exp::LeaseScan::State::kStale:
-        state = "stale";
-        break;
-      case exp::LeaseScan::State::kDone:
-        state = p.attempt > 1 ? "done" : nullptr;
-        break;
-      case exp::LeaseScan::State::kUnclaimed:
-        state = p.attempt > 1 ? "unclaimed" : nullptr;
-        break;
-    }
-    if (state == nullptr) continue;
-    std::printf("  point %4zu  %-9s  attempt %llu%s%s\n", p.index, state,
-                static_cast<unsigned long long>(p.attempt), p.owner.empty() ? "" : "  owner ",
-                p.owner.c_str());
-  }
-  return 0;
-}
-
 int cmd_status(const Options& opt) {
   const std::vector<exp::ScenarioSpec> grid = exp::make_preset(opt.preset);
   std::printf("preset %s: %zu points\n", opt.preset.c_str(), grid.size());
-
-  if (opt.leases) {
-    const int rc = print_lease_report(opt, grid);
-    if (rc != 0) return rc;
-  }
 
   if (!opt.cache_dir.empty()) {
     exp::ResultCache cache{opt.cache_dir};
