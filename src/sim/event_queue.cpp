@@ -1,7 +1,10 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <new>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace xdrs::sim {
@@ -9,10 +12,63 @@ namespace {
 
 template <class Key>
 bool before(const Key& a, const Key& b) noexcept {
-  return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  return a.at < b.at || (a.at == b.at && a.tag < b.tag);
 }
 
+// Set once the thread's pool is destroyed: a queue destroyed later on this
+// thread (by a thread_local or static destroyed after it) frees its slabs.
+thread_local bool t_pool_gone = false;
+
 }  // namespace
+
+struct EventQueue::BlockPool {
+  std::vector<std::unique_ptr<Block[]>> slabs;  // every block of them free
+  ~BlockPool() { t_pool_gone = true; }
+};
+
+EventQueue::BlockPool* EventQueue::block_pool() noexcept {
+  if (t_pool_gone) return nullptr;
+  thread_local BlockPool pool;
+  return &pool;
+}
+
+EventQueue::EventQueue() {
+  BlockPool* pool = block_pool();
+  if (pool == nullptr) return;
+  slabs_ = std::move(pool->slabs);
+  pool->slabs.clear();
+  for (const auto& slab : slabs_) {
+    for (std::size_t i = 0; i < kSlabBlocks; ++i) release_block(&slab[i]);
+  }
+}
+
+EventQueue::~EventQueue() {
+  BlockPool* pool = block_pool();
+  if (pool == nullptr) return;
+  for (auto& slab : slabs_) {
+    try {
+      pool->slabs.push_back(std::move(slab));
+    } catch (const std::bad_alloc&) {
+      return;  // the rest are simply freed
+    }
+  }
+}
+
+EventQueue::Block* EventQueue::acquire_block() {
+  if (spare_ == nullptr) {
+    slabs_.push_back(std::make_unique<Block[]>(kSlabBlocks));
+    for (std::size_t i = 0; i < kSlabBlocks; ++i) release_block(&slabs_.back()[i]);
+  }
+  Block* b = std::exchange(spare_, spare_->next);
+  b->next = nullptr;
+  b->size = 0;
+  return b;
+}
+
+void EventQueue::release_block(Block* b) noexcept {
+  b->next = spare_;
+  spare_ = b;
+}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -21,7 +77,7 @@ std::uint32_t EventQueue::acquire_slot() {
     return s;
   }
   if (slots_made_ % kSlotsPerChunk == 0) {
-    if (slots_made_ > UINT32_MAX - kSlotsPerChunk) throw std::length_error{"EventQueue: slots"};
+    if (slots_made_ + kSlotsPerChunk > kMaxSlots) throw std::length_error{"EventQueue: slots"};
     chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
     // Releasing a slot must not allocate: it runs after a callback, from a
     // destructor (run_next).
@@ -33,13 +89,49 @@ std::uint32_t EventQueue::acquire_slot() {
   return slots_made_++;
 }
 
+std::size_t EventQueue::bucket_of(const Key& k) const noexcept {
+  const auto time_bits = static_cast<std::uint64_t>(k.at.ps() ^ last_.at.ps());
+  if (time_bits != 0) return 127 - static_cast<std::size_t>(std::countl_zero(time_bits));
+  return 63 - static_cast<std::size_t>(std::countl_zero(k.tag ^ last_.tag));
+}
+
+EventQueue::Key* EventQueue::file(const Key& k) {
+  const std::size_t b = bucket_of(k);
+  Bucket& bucket = buckets_[b];
+  if (bucket.last == nullptr) {
+    bucket.first = bucket.last = acquire_block();
+    filled_[b / 64] |= std::uint64_t{1} << (b % 64);
+  } else if (bucket.last->size == kBlockKeys) {
+    bucket.last = bucket.last->next = acquire_block();
+  }
+  Key* at = &bucket.last->keys[bucket.last->size++];
+  *at = k;
+  return at;
+}
+
 EventId EventQueue::push(Time at, Callback cb) {
+  if (at.is_negative()) {
+    throw std::invalid_argument{"EventQueue::push: negative time " + std::to_string(at.ps()) +
+                                " ps"};
+  }
+  if (at < last_.at) {
+    throw std::invalid_argument{"EventQueue::push: time " + std::to_string(at.ps()) +
+                                " ps is before the last fired event at " +
+                                std::to_string(last_.at.ps()) + " ps"};
+  }
+  if (next_seq_ == kMaxSeq) throw std::length_error{"EventQueue: sequence numbers"};
   const std::uint32_t s = acquire_slot();
   const std::uint64_t seq = next_seq_++;
   Slot& slot = slot_at(s);
   slot.seq = seq;
   slot.cb = std::move(cb);
-  sift_up(Key{at, seq, s});
+  const Key key{at, seq << kSlotBits | s};
+  Key* filed = file(key);
+  // An event pushed after a peek may be earlier than the peeked head.
+  if (head_ != nullptr && before(key, *head_)) {
+    head_ = filed;
+    head_bucket_ = bucket_of(key);
+  }
   ++live_;
   return EventId{seq, s};
 }
@@ -54,66 +146,96 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-void EventQueue::sift_up(Key key) {
-  std::size_t hole = heap_.size();
-  heap_.push_back(key);
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / kArity;
-    if (!before(key, heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = key;
-}
-
-void EventQueue::pop_root() {
-  const Key last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t hole = 0;
-  for (;;) {
-    const std::size_t first = hole * kArity + 1;
-    if (first >= n) break;
-    const std::size_t end = first + kArity < n ? first + kArity : n;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
+EventQueue::Key* EventQueue::min_of(std::size_t b) const noexcept {
+  Key* best = &buckets_[b].first->keys[0];
+  for (Block* blk = buckets_[b].first; blk != nullptr; blk = blk->next) {
+    for (Key* k = blk->keys; k != blk->keys + blk->size; ++k) {
+      if (before(*k, *best)) best = k;
     }
-    if (!before(heap_[best], last)) break;
-    heap_[hole] = heap_[best];
-    hole = best;
   }
-  heap_[hole] = last;
+  return best;
 }
 
-void EventQueue::drop_dead_head() {
-  while (!heap_.empty() && slot_at(heap_.front().slot).seq != heap_.front().seq) {
-    free_slots_.push_back(heap_.front().slot);
-    pop_root();
+void EventQueue::compact(std::size_t b) noexcept {
+  Bucket& bucket = buckets_[b];
+  Block* out = bucket.first;
+  std::uint32_t n = 0;
+  for (Block* blk = bucket.first; blk != nullptr; blk = blk->next) {
+    for (std::uint32_t i = 0; i < blk->size; ++i) {
+      const Key k = blk->keys[i];
+      if (!live(k)) {
+        free_slots_.push_back(k.slot());
+        continue;
+      }
+      if (n == kBlockKeys) {
+        out->size = n;
+        out = out->next;
+        n = 0;
+      }
+      out->keys[n++] = k;
+    }
+  }
+  out->size = n;
+  Block* rest = std::exchange(out->next, nullptr);
+  while (rest != nullptr) release_block(std::exchange(rest, rest->next));
+  bucket.last = out;
+  if (n == 0 && out == bucket.first) {
+    release_block(out);
+    bucket = Bucket{};
+    filled_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
   }
 }
 
-Time EventQueue::next_time() {
-  drop_dead_head();
-  if (heap_.empty()) throw std::logic_error{"EventQueue::next_time on empty queue"};
-  return heap_.front().at;
+bool EventQueue::locate_head() {
+  if (head_ != nullptr && live(*head_)) return true;
+  head_ = nullptr;
+  for (std::size_t w = 0; w < filled_.size(); ++w) {
+    while (filled_[w] != 0) {
+      const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(filled_[w]));
+      Key* best = min_of(b);
+      if (!live(*best)) {
+        // Cancellations are rare: drop them all and look again.
+        compact(b);
+        if (buckets_[b].first == nullptr) continue;
+        best = min_of(b);
+      }
+      head_ = best;
+      head_bucket_ = b;
+      return true;
+    }
+  }
+  return false;
 }
 
 EventQueue::Key EventQueue::take_head() {
-  drop_dead_head();
-  if (heap_.empty()) throw std::logic_error{"EventQueue::pop on empty queue"};
-  const Key head = heap_.front();
-  pop_root();
-  slot_at(head.slot).seq = 0;
+  if (!locate_head()) throw std::logic_error{"EventQueue::pop on empty queue"};
+  const Key head = *head_;
+  last_ = head;
+  // Every other key of the head's bucket shares more leading bits with the
+  // new last key than the bucket's number, so it moves to a lower bucket.
+  Bucket& bucket = buckets_[head_bucket_];
+  for (Block* blk = std::exchange(bucket, Bucket{}).first; blk != nullptr;) {
+    for (const Key* k = blk->keys; k != blk->keys + blk->size; ++k) {
+      if (k != head_) file(*k);
+    }
+    release_block(std::exchange(blk, blk->next));
+  }
+  filled_[head_bucket_ / 64] &= ~(std::uint64_t{1} << (head_bucket_ % 64));
+  head_ = nullptr;
+  slot_at(head.slot()).seq = 0;
   --live_;
   return head;
 }
 
+Time EventQueue::next_time() {
+  if (!locate_head()) throw std::logic_error{"EventQueue::next_time on empty queue"};
+  return head_->at;
+}
+
 EventQueue::Popped EventQueue::pop() {
   const Key head = take_head();
-  Popped out{head.at, EventId{head.seq, head.slot}, std::move(slot_at(head.slot).cb)};
-  free_slots_.push_back(head.slot);
+  Popped out{head.at, EventId{head.seq(), head.slot()}, std::move(slot_at(head.slot()).cb)};
+  free_slots_.push_back(head.slot());
   return out;
 }
 
@@ -129,8 +251,8 @@ void EventQueue::run_next(Time& now) {
       q.slot_at(slot).cb = Callback{};
       q.free_slots_.push_back(slot);
     }
-  } release{*this, head.slot};
-  slot_at(head.slot).cb();
+  } release{*this, head.slot()};
+  slot_at(head.slot()).cb();
 }
 
 }  // namespace xdrs::sim

@@ -3,8 +3,25 @@
 // Ordering.  Events fire in (time, sequence-number) order: the sequence
 // number makes same-timestamp events FIFO and therefore deterministic, which
 // the reproducibility of every experiment in this repository relies on.
+// Keys only grow: an event may not be pushed before the last one fired
+// (push throws), which the simulator guarantees by never scheduling before
+// now().  That makes the set a monotone radix queue (Ahuja, Mehlhorn, Orlin
+// and Tarjan, 1990).  A key goes into the bucket numbered by the highest bit
+// in which its 128-bit (time, sequence) differs from the last fired key, so
+// a push is one count-leading-zeros and one append.  The earliest key is in
+// the lowest non-empty bucket, found from a two-word mask; firing it takes
+// the minimum of that bucket and re-files its other keys into lower buckets,
+// relative to the new last key.  A key moves down at most once per bit.
+// Peeking (next_time) only finds the earliest key and remembers where it
+// is, so an event pushed after a peek, but earlier than the peeked head,
+// still fires first.
 //
-// Storage.  The heap holds only 24-B keys (time, sequence, slot index); the
+// Storage.  Buckets hold only 16-B keys: the time, and the sequence number
+// and slot index packed in one word (so at most 2^24 events pending and 2^40
+// pushed; push throws std::length_error beyond).  A bucket is a chain of
+// 512-B blocks of 31 keys; blocks are carved from 16-KB slabs of 32, and a
+// destroyed queue hands its slabs to the next queue built on its thread, so
+// a sweep of short points does not allocate them point after point.  The
 // callables live in a slot store of fixed-size chunks that never moves a
 // live slot, so the simulator invokes a callback where it lies, and that
 // callback may schedule and cancel events (its own id included) while it
@@ -16,21 +33,23 @@
 // 0 once that event fired or was cancelled.  An EventId carries both, so
 // cancel() is a comparison: a stale id, whose slot has since been reused,
 // matches nothing.  Cancelling releases the callable at once; the key stays
-// in the heap and frees its slot when it surfaces.
+// in its bucket until a scan for the earliest key finds it there, which
+// drops it and frees its slot.
 //
-// Memory.  A pending event costs its 24-B key, its 40-B slot and 4 B of
+// Memory.  A pending event costs its 16-B key, its 40-B slot and 4 B of
 // free-slot stack, plus a size-class block for a capture over 24 B (128 B for
-// a packet-carrying event).  The hybrid websearch benchmark keeps up to ~27K
-// events pending, about half of them 128-B OCS deliveries and half 16-B
-// pump wake-ups: ~68 B per wake-up, ~200 B per delivery, ~135 B on average.
-// That is the budget: a slot must not grow to hold large captures inline,
-// since at that depth every added byte per entry costs ~27 KB, doubled while
-// a vector grows.  Slot chunks (256 slots) are allocated as the pending set
-// first grows and kept until the queue is destroyed, so a queue that stays
-// shallow, as on an 8-port switch, costs one 10-KB chunk.
+// a packet-carrying event).  On top of the keys, each non-empty bucket holds
+// one partly filled block.  Measured with a counting copy of the queue: the
+// p128_uniform benchmark point peaks at 1,450 pending events in 2 slabs
+// (32 KB of keys, where the 4-ary heap's 24-B keys took up to 48 KB); each
+// 32-port hybrid websearch instance peaks at ~50 in 1 slab.  Slot chunks
+// (256 slots) are allocated as the pending set first grows and kept until
+// the queue is destroyed, so a queue that stays shallow, as on an 8-port
+// switch, costs one 10-KB chunk and one slab.
 #ifndef XDRS_SIM_EVENT_QUEUE_HPP
 #define XDRS_SIM_EVENT_QUEUE_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -48,12 +67,20 @@ struct EventId {
   constexpr bool operator==(const EventId&) const noexcept = default;
 };
 
-/// Min-heap of timestamped callbacks with stable FIFO tie-breaking.
+/// Monotone priority queue of timestamped callbacks with stable FIFO
+/// tie-breaking.
 class EventQueue {
  public:
   using Callback = sim::Callback;
 
-  /// Inserts `cb` to fire at absolute time `at`.  O(log n).
+  EventQueue();
+  ~EventQueue();
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  /// Inserts `cb` to fire at absolute time `at`.  O(1).  Throws
+  /// std::invalid_argument if `at` is negative or earlier than the last
+  /// fired (popped or run) event.
   EventId push(Time at, Callback cb);
 
   /// Removes an event from the live set and releases its callable.  O(1).
@@ -65,7 +92,8 @@ class EventQueue {
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-  /// Timestamp of the earliest live event.  Precondition: !empty().
+  /// Timestamp of the earliest live event.  Precondition: !empty().  Events
+  /// pushed afterwards may still be earlier.
   [[nodiscard]] Time next_time();
 
   /// Removes and returns the earliest live event.  Precondition: !empty().
@@ -84,31 +112,74 @@ class EventQueue {
   [[nodiscard]] std::uint64_t total_pushed() const noexcept { return next_seq_ - 1; }
 
  private:
+  // (seq, slot) share one word, the sequence number on top, so a key is
+  // 16 B and orders as (at, seq).
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint64_t kMaxSeq = std::uint64_t{1} << (64 - kSlotBits);
   struct Key {
     Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t tag;  // seq << kSlotBits | slot
+    [[nodiscard]] std::uint64_t seq() const noexcept { return tag >> kSlotBits; }
+    [[nodiscard]] std::uint32_t slot() const noexcept {
+      return static_cast<std::uint32_t>(tag & (kMaxSlots - 1));
+    }
   };
   struct Slot {
     std::uint64_t seq{0};  // the pending event's sequence number, else 0
     Callback cb;
   };
+  // A bucket is a chain of fixed-size blocks, appended at its last block,
+  // so the key store holds the pending keys plus one partly filled block per
+  // non-empty bucket.  Blocks are carved from slabs the queue owns; a
+  // destroyed queue hands its slabs to the next queue built on its thread.
+  static constexpr std::uint32_t kBlockKeys = 31;  // a 512-B block
+  static constexpr std::size_t kSlabBlocks = 32;
+  struct Block {
+    Block* next;
+    std::uint32_t size;
+    Key keys[kBlockKeys];
+  };
+  struct Bucket {
+    Block* first{nullptr};
+    Block* last{nullptr};
+  };
+  struct BlockPool;
   static constexpr std::uint32_t kSlotsPerChunk = 256;
-  static constexpr std::size_t kArity = 4;
+  static constexpr std::size_t kBuckets = 128;  // one per bit of (time, seq)
 
   [[nodiscard]] Slot& slot_at(std::uint32_t s) noexcept {
     return chunks_[s / kSlotsPerChunk][s % kSlotsPerChunk];
   }
+  [[nodiscard]] bool live(const Key& k) noexcept { return slot_at(k.slot()).seq == k.seq(); }
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Pops heap keys of cancelled events, freeing their slots, until a live
-  /// one is on top.
-  void drop_dead_head();
-  /// Removes the heap's root, which must be live, and marks it fired.
+  [[nodiscard]] Block* acquire_block();
+  void release_block(Block* b) noexcept;
+  /// Bucket of `k` relative to the last fired key: the highest bit in which
+  /// the two differ.
+  [[nodiscard]] std::size_t bucket_of(const Key& k) const noexcept;
+  /// Appends `k` to its bucket; returns where it now lies.
+  Key* file(const Key& k);
+  /// The earliest key of non-empty bucket `b`, live or not.
+  [[nodiscard]] Key* min_of(std::size_t b) const noexcept;
+  /// Drops every cancelled key of bucket `b`, freeing its slot.
+  void compact(std::size_t b) noexcept;
+  /// Finds the earliest live key and records it in head_; cancelled keys
+  /// of its bucket free their slots.  Returns false if no live key is left.
+  bool locate_head();
+  /// Removes the earliest live key, which must exist, makes it the last
+  /// fired key and marks its event fired.
   Key take_head();
-  void sift_up(Key key);
-  void pop_root();
+  /// This thread's spare slabs; null once the thread tears them down.
+  static BlockPool* block_pool() noexcept;
 
-  std::vector<Key> heap_;  // kArity-ary min-heap on (at, seq)
+  std::array<Bucket, kBuckets> buckets_{};
+  std::array<std::uint64_t, kBuckets / 64> filled_{};  // bit b: buckets_[b] non-empty
+  std::vector<std::unique_ptr<Block[]>> slabs_;
+  Block* spare_{nullptr};       // free blocks, chained through next
+  Key last_{Time::zero(), 0};   // the last fired key
+  Key* head_{nullptr};          // the earliest key once found, until fired
+  std::size_t head_bucket_{0};  // and its bucket
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;  // capacity covers every slot
   std::uint32_t slots_made_{0};

@@ -8,6 +8,8 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -86,6 +88,76 @@ TEST(EventQueue, PopOnEmptyThrows) {
   EventQueue q;
   EXPECT_THROW((void)q.pop(), std::logic_error);
   EXPECT_THROW((void)q.next_time(), std::logic_error);
+}
+
+// next_time() only finds the head; an event pushed after the peek that is
+// later than the last fired one but earlier than the peeked head fires first.
+TEST(EventQueue, PushAfterPeekEarlierThanTheHeadFiresFirst) {
+  EventQueue q;
+  Time now;
+  std::vector<int> order;
+  (void)q.push(1_us, [&] { order.push_back(1); });
+  for (int t = 40; t < 80; t += 3) {
+    (void)q.push(Time::microseconds(t), [&order, t] { order.push_back(t); });
+  }
+  q.run_next(now);
+  EXPECT_EQ(q.next_time(), 40_us);
+  (void)q.push(9_us, [&] { order.push_back(9); });
+  (void)q.push(2_us, [&] { order.push_back(2); });
+  EXPECT_EQ(q.next_time(), 2_us);
+  (void)q.push(5_us, [&] { order.push_back(5); });
+  EXPECT_EQ(q.next_time(), 2_us);
+  while (!q.empty()) q.run_next(now);
+  std::vector<int> expected{1, 2, 5, 9};
+  for (int t = 40; t < 80; t += 3) expected.push_back(t);
+  EXPECT_EQ(order, expected);
+}
+
+// The pattern of topo::FatTree::run: run_until stops short of a pending
+// event, then an event is scheduled between the horizon and that event.
+TEST(Simulator, ScheduleBetweenHorizonAndPendingEventFiresFirst) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule(1_us, [&] { order.push_back(1); });
+  sim.schedule(10_us, [&] { order.push_back(10); });
+  sim.run_until(5_us - Time::picoseconds(1));
+  sim.schedule_at(5_us, [&] { order.push_back(5); });
+  sim.schedule_at(7_us, [&] { order.push_back(7); });
+  sim.run_until(20_us);
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 7, 10}));
+}
+
+TEST(EventQueue, PushBeforeTheLastFiredEventOrAtANegativeTimeThrows) {
+  const auto message_of = [](EventQueue& q, Time at) {
+    try {
+      (void)q.push(at, [] {});
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"no throw"};
+  };
+  EventQueue fresh;
+  EXPECT_NE(message_of(fresh, Time::picoseconds(-1)).find("negative time -1 ps"),
+            std::string::npos);
+
+  EventQueue q;
+  Time now;
+  (void)q.push(5_us, [] {});
+  (void)q.push(8_us, [] {});
+  q.run_next(now);
+  EXPECT_NE(message_of(q, 5_us - Time::picoseconds(1))
+                .find("4999999 ps is before the last fired event at 5000000 ps"),
+            std::string::npos);
+  EXPECT_NE(message_of(q, Time::picoseconds(-3)).find("negative time"), std::string::npos);
+  // A refused push leaves the queue as it was; the last fired time itself
+  // is still open.
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.total_pushed(), 2u);
+  bool fired = false;
+  (void)q.push(5_us, [&] { fired = true; });
+  q.run_next(now);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(q.next_time(), 8_us);
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
@@ -196,13 +268,14 @@ TEST(Simulator, DeterministicInterleaving) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// Seeded random push / cancel / pop against a std::multimap keyed on
-// (time, push order): the pop order, size() and next_time() must agree
+// Seeded random push / cancel / peek / pop against a std::multimap keyed
+// on (time, push order): the pop order, size() and next_time() must agree
 // after every operation.  Times come from a small range so that many
 // events tie and FIFO order among them is exercised; cancels pick any id
 // ever issued, so fired, cancelled and reused-slot ids are all tried.
-// Half the pops go through run_next, whose callbacks may themselves push
-// and cancel while they run.
+// Peeks (next_time) are interleaved with the pushes, which often land
+// earlier than the peeked head.  Half the pops go through run_next, whose
+// callbacks may themselves push and cancel while they run.
 TEST(EventQueue, MatchesReferenceModelUnderRandomOps) {
   using RefKey = std::pair<std::int64_t, std::uint64_t>;
   struct Issued {
@@ -261,7 +334,12 @@ TEST(EventQueue, MatchesReferenceModelUnderRandomOps) {
     const std::uint64_t dice = rng.next_below(100);
     if (dice < 45) {
       push_random(now.ps());
-    } else if (dice < 65) {
+    } else if (dice < 55) {
+      ASSERT_EQ(q.empty(), ref.empty()) << "op " << op;
+      if (!ref.empty()) {
+        ASSERT_EQ(q.next_time(), Time::picoseconds(ref.begin()->first.first)) << "op " << op;
+      }
+    } else if (dice < 70) {
       ASSERT_TRUE(cancel_random()) << "op " << op;
     } else {
       ASSERT_EQ(q.empty(), ref.empty()) << "op " << op;
