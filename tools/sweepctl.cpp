@@ -16,7 +16,10 @@
 // only the point that was in flight, and the merge is still byte-identical
 // (CI-gated).  `status` reports grid size, cache presence, shard-file
 // coverage and straggler shards; `presets` lists the grids.  `gc` evicts
-// cache entries older than --keep-days.
+// cache entries older than --keep-days.  `diff A.json B.json` matches two
+// artefacts' points by label and prints every metric that drifted, old ->
+// new; it exits 1 on any drift, so a refactor shows zero drift with it and
+// a result-changing change lists what moved.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -79,7 +82,12 @@ int usage(const char* error = nullptr) {
                "                                multi-rack runs add one counter track per\n"
                "                                tier (per-ToR VOQ depth, core queue depth)\n"
                "  gc     --cache DIR --keep-days N\n"
-               "                                evict cache entries older than N days\n");
+               "                                evict cache entries older than N days\n"
+               "  diff   A.json B.json          match two artefacts' points by label and\n"
+               "                                print each drifted metric, old -> new;\n"
+               "                                exit 1 on any drift\n"
+               "\n"
+               "a flag the command does not read is an error.\n");
   return 2;
 }
 
@@ -117,18 +125,42 @@ bool parse_shard(const std::string& val, exp::ShardOptions& shard) {
   return shard.count >= 1 && shard.index < shard.count;
 }
 
+/// The flags each command reads.  Any other flag is rejected, so a flag a
+/// command would ignore (a removed one, or another command's) fails loudly.
+const std::map<std::string_view, std::vector<std::string_view>> kCommandFlags{
+    {"presets", {}},
+    {"run",
+     {"--preset", "--shard", "--cache", "--threads", "--out", "--csv", "--telemetry",
+      "--progress"}},
+    {"merge", {"--preset", "--out", "--csv"}},
+    {"status", {"--preset", "--cache", "--telemetry", "--stages"}},
+    {"trace",
+     {"--scenario", "--policies", "--ports", "--load", "--seed", "--racks", "--oversub",
+      "--locality", "--out"}},
+    {"gc", {"--cache", "--keep-days"}},
+    {"diff", {}},
+};
+
 /// Fills `opt` from the command line.  On a malformed command line prints
 /// what is wrong with which flag and returns false (the caller then prints
 /// the usage text).
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
+  const auto command = kCommandFlags.find(opt.command);
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
     const auto eq = arg.find('=');
     // Accept both "--flag=value" and "--flag value".
     const std::string key = arg.substr(0, eq);
     std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (command != kCommandFlags.end() && key.starts_with("--") &&
+        std::find(command->second.begin(), command->second.end(), key) ==
+            command->second.end()) {
+      std::fprintf(stderr, "sweepctl: %s: unknown flag '%s'\n", opt.command.c_str(),
+                   key.c_str());
+      return false;
+    }
     const auto value = [&]() -> bool {
       if (eq != std::string::npos) return true;
       if (a + 1 >= argc) {
@@ -612,6 +644,68 @@ int cmd_gc(const Options& opt) {
   return 0;
 }
 
+/// `diff A.json B.json`: every point of either artefact, matched by label,
+/// with each metric whose JSON text differs printed as old -> new.  The
+/// artefact's "merged" aggregate is compared as one more point.
+int cmd_diff(const Options& opt) {
+  if (opt.inputs.size() != 2) return usage("diff: exactly two artefact files are required");
+  using Points = std::vector<std::pair<std::string, const stats::JsonValue*>>;
+  const auto points_of = [](const stats::JsonValue& doc) {
+    Points out;
+    for (const stats::JsonValue& p : doc.at("points").items()) {
+      out.emplace_back(p.at("label").as_str(), &p);
+    }
+    if (const stats::JsonValue* merged = doc.find("merged")) out.emplace_back("(merged)", merged);
+    return out;
+  };
+  const stats::JsonValue a_doc = stats::parse_json(read_file(opt.inputs[0]));
+  const stats::JsonValue b_doc = stats::parse_json(read_file(opt.inputs[1]));
+  const Points a = points_of(a_doc);
+  const Points b = points_of(b_doc);
+  const auto text = [](const stats::JsonValue* v) { return v ? v->dump() : "(absent)"; };
+  const auto lookup = [](const Points& pts, const std::string& label) -> const stats::JsonValue* {
+    for (const auto& [l, p] : pts) {
+      if (l == label) return p;
+    }
+    return nullptr;
+  };
+
+  std::size_t drifted_points = 0, drifted_metrics = 0, only_a = 0, only_b = 0;
+  for (const auto& [label, pa] : a) {
+    const stats::JsonValue* pb = lookup(b, label);
+    if (pb == nullptr) {
+      std::printf("%s: only in %s\n", label.c_str(), opt.inputs[0].c_str());
+      ++only_a;
+      continue;
+    }
+    std::vector<std::string> lines;
+    for (const auto& [key, va] : pa->members()) {
+      const stats::JsonValue* vb = pb->find(key);
+      if (vb == nullptr || va.dump() != vb->dump()) {
+        lines.push_back(key + ": " + va.dump() + " -> " + text(vb));
+      }
+    }
+    for (const auto& [key, vb] : pb->members()) {
+      if (pa->find(key) == nullptr) lines.push_back(key + ": (absent) -> " + vb.dump());
+    }
+    if (lines.empty()) continue;
+    ++drifted_points;
+    drifted_metrics += lines.size();
+    std::printf("%s\n", label.c_str());
+    for (const std::string& line : lines) std::printf("  %s\n", line.c_str());
+  }
+  for (const auto& [label, pb] : b) {
+    if (lookup(a, label) == nullptr) {
+      std::printf("%s: only in %s\n", label.c_str(), opt.inputs[1].c_str());
+      ++only_b;
+    }
+  }
+  std::printf("diff: %zu of %zu points drifted (%zu metrics), %zu only in %s, %zu only in %s\n",
+              drifted_points, a.size() - only_a, drifted_metrics, only_a, opt.inputs[0].c_str(),
+              only_b, opt.inputs[1].c_str());
+  return drifted_points + only_a + only_b == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -621,6 +715,7 @@ int main(int argc, char** argv) {
     if (opt.command == "presets") return cmd_presets();
     if (opt.command == "gc") return cmd_gc(opt);
     if (opt.command == "trace") return cmd_trace(opt);
+    if (opt.command == "diff") return cmd_diff(opt);
     if (opt.preset.empty()) return usage("--preset is required");
     if (opt.command == "run") return cmd_run(opt);
     if (opt.command == "merge") return cmd_merge(opt);
