@@ -48,31 +48,33 @@ void Classifier::count_rule_hit(std::uint64_t id, std::int64_t bytes) {
   c.bytes += bytes;
 }
 
+Verdict Classifier::apply(std::uint32_t m, const Packet& p, const Verdict& fallback) {
+  if (m == kNoRule) return fallback;
+  const Rule& rule = rules_[m].rule;
+  count_rule_hit(rule.id, p.size_bytes);
+  return rule.verdict;
+}
+
 Verdict Classifier::classify(const Packet& p, const Verdict& fallback) {
   ++stats_.lookups;
+  if (rules_.empty()) {
+    ++stats_.default_hits;
+    return fallback;
+  }
   if (const auto it = cache_.find(p.tuple); it != cache_.end()) {
     ++stats_.cache_hits;
-    count_rule_hit(it->second.rule_id, p.size_bytes);
-    return it->second.verdict;
+    return apply(it->second, p, fallback);
   }
-  CacheEntry entry{fallback, 0};
-  bool from_rule = false;
-  for (const auto& [rule, order] : rules_) {
-    (void)order;
-    if (rule.matches(p.tuple)) {
-      entry = CacheEntry{rule.verdict, rule.id};
-      from_rule = true;
+  std::uint32_t match = kNoRule;
+  for (std::uint32_t i = 0; i < rules_.size(); ++i) {
+    if (rules_[i].rule.matches(p.tuple)) {
+      match = i;
       break;
     }
   }
-  if (from_rule) {
-    ++stats_.rule_hits;
-    count_rule_hit(entry.rule_id, p.size_bytes);
-  } else {
-    ++stats_.default_hits;
-  }
-  if (cache_.size() < cache_capacity_) cache_.emplace(p.tuple, entry);
-  return entry.verdict;
+  ++(match == kNoRule ? stats_.default_hits : stats_.rule_hits);
+  if (cache_.size() < cache_capacity_) cache_.emplace(p.tuple, match);
+  return apply(match, p, fallback);
 }
 
 RuleCounters Classifier::rule_counters(std::uint64_t id) const {

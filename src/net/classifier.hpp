@@ -5,7 +5,12 @@
 // Two stages mirror an FPGA datapath:
 //  1. an exact-match flow cache (hash table, models a CAM) hit in O(1), and
 //  2. a priority-ordered wildcard rule table (models a TCAM) searched on
-//     miss, whose verdict is installed into the cache.
+//     miss, whose match is installed into the cache.
+// The cache holds which rule a 5-tuple matched, or that none did, never a
+// verdict: packets of one 5-tuple may carry different fallbacks (fat-tree
+// placement sends some to an uplink), so a no-match hit returns the current
+// packet's own fallback.  With no rule installed, classify() returns the
+// fallback without touching the cache.
 // The verdict selects the destination port (hence the VOQ) and the traffic
 // class used by hybrid fabric policy.  Rules carry caller-assigned ids and
 // per-rule match counters, which is what the SDN layer (control/sdn.hpp)
@@ -79,7 +84,8 @@ class Classifier {
   [[nodiscard]] std::size_t rule_count() const noexcept { return rules_.size(); }
 
   /// Classifies `p`.  `fallback` supplies the verdict when no rule matches
-  /// (typically derived from the packet's destination port field).
+  /// (typically derived from the packet's destination port field).  With no
+  /// rule installed this is `fallback`, and counts as a default hit.
   Verdict classify(const Packet& p, const Verdict& fallback);
 
   [[nodiscard]] const ClassifierStats& stats() const noexcept { return stats_; }
@@ -92,15 +98,16 @@ class Classifier {
     Rule rule;
     std::uint64_t order;
   };
-  struct CacheEntry {
-    Verdict verdict;
-    std::uint64_t rule_id{0};  ///< 0: fallback verdict
-  };
+  static constexpr std::uint32_t kNoRule = UINT32_MAX;
 
   void count_rule_hit(std::uint64_t id, std::int64_t bytes);
+  /// The verdict of match `m` (an index into rules_, or kNoRule) for `p`.
+  Verdict apply(std::uint32_t m, const Packet& p, const Verdict& fallback);
 
   std::vector<Indexed> rules_;  // sorted by (priority, order)
-  std::unordered_map<FiveTuple, CacheEntry, FiveTupleHash> cache_;
+  // 5-tuple -> index into rules_ of its first matching rule, or kNoRule.
+  // Every change to rules_ clears it.
+  std::unordered_map<FiveTuple, std::uint32_t, FiveTupleHash> cache_;
   std::unordered_map<std::uint64_t, RuleCounters> counters_;
   std::size_t cache_capacity_;
   std::uint64_t next_order_{0};

@@ -151,6 +151,47 @@ TEST(Classifier, CacheCapacityIsRespected) {
   EXPECT_EQ(c.stats().lookups, 100u);
 }
 
+// Packets of one 5-tuple may carry different fallbacks: fat-tree placement
+// sends some of a host pair's packets to an uplink, and traffic classes
+// differ per packet.  Each packet must get its own.
+TEST(Classifier, NoRulesGivesEveryPacketItsOwnFallback) {
+  Classifier c;
+  const Packet p = make_packet(1, 2, 80);
+  const Verdict local{3, TrafficClass::kBestEffort};
+  const Verdict uplink{9, TrafficClass::kBestEffort};
+  const Verdict latency{3, TrafficClass::kLatencySensitive};
+  EXPECT_EQ(c.classify(p, local), local);
+  EXPECT_EQ(c.classify(p, uplink), uplink);
+  EXPECT_EQ(c.classify(p, latency), latency);
+  EXPECT_EQ(c.classify(p, local), local);
+  EXPECT_EQ(c.stats().lookups, 4u);
+  EXPECT_EQ(c.stats().default_hits, 4u);
+  EXPECT_EQ(c.stats().cache_hits, 0u);  // no rule: the cache is never consulted
+}
+
+TEST(Classifier, CachedNoMatchReturnsTheCurrentPacketsFallback) {
+  Classifier c;
+  Rule r;
+  r.dst_port_value = 5004;
+  r.dst_port_mask = 0xffff;
+  r.verdict = Verdict{4, TrafficClass::kLatencySensitive};
+  c.add_rule(r);
+
+  const Packet p = make_packet(1, 2, 80);  // matches no rule
+  const Verdict first{7, TrafficClass::kBestEffort};
+  const Verdict second{9, TrafficClass::kThroughput};
+  EXPECT_EQ(c.classify(p, first), first);
+  EXPECT_EQ(c.classify(p, second), second);
+  EXPECT_EQ(c.stats().cache_hits, 1u);
+  EXPECT_EQ(c.stats().default_hits, 1u);
+  // A cached rule match still answers with the rule's verdict.
+  const Packet rtp = make_packet(1, 2, 5004);
+  EXPECT_EQ(c.classify(rtp, first), r.verdict);
+  EXPECT_EQ(c.classify(rtp, second), r.verdict);
+  EXPECT_EQ(c.stats().rule_hits, 1u);
+  EXPECT_EQ(c.stats().cache_hits, 2u);
+}
+
 TEST(FiveTuple, EqualityAndHash) {
   const FiveTuple a{1, 2, 3, 4, IpProto::kTcp};
   FiveTuple b = a;

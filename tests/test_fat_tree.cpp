@@ -8,10 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/report_io.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "sim/time.hpp"
+#include "sim/trace.hpp"
 #include "topo/fat_tree.hpp"
 
 namespace xdrs {
@@ -126,6 +128,48 @@ TEST(FatTreeRun, PerHopMetricsArePopulatedOnEveryMultiRackPoint) {
   EXPECT_GT(r.core_utilization, 0.0);
   // Delivered bytes split exactly into the two hop classes.
   EXPECT_EQ(r.intra_rack_bytes + r.cross_rack_bytes, r.delivered_bytes);
+}
+
+// Classification must never retarget a packet: local and cross-rack packets
+// of one host pair share a 5-tuple but not a destination port.  With
+// host-side buffering, ingest classifies and enqueues in one step, so each
+// rack's trace records every arrival followed by its enqueue (or drop),
+// whose output port must be the one placement chose.
+TEST(FatTreeRun, EveryCrossRackPacketLeavesByAnUplinkAndArrivesAtItsFinalDst) {
+  ScenarioSpec spec = two_rack_spec(0.5, 1.0);
+  spec.config.placement = core::BufferPlacement::kHost;
+  auto ft = exp::materialize_fat_tree(spec);
+  for (std::uint32_t r = 0; r < ft->racks(); ++r) ft->rack(r).trace().enable();
+  (void)ft->run(spec.duration, spec.warmup);
+
+  const std::uint32_t hosts = ft->host_ports();
+  std::uint64_t to_uplink = 0, from_uplink = 0;
+  for (std::uint32_t r = 0; r < ft->racks(); ++r) {
+    const auto& events = ft->rack(r).trace().events();
+    ASSERT_EQ(ft->rack(r).trace().dropped(), 0u);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].category != sim::TraceCategory::kPacketArrival) continue;
+      std::size_t j = i + 1;  // a VOQ's first packet raises a request first
+      while (j < events.size() && events[j].category == sim::TraceCategory::kRequest) ++j;
+      ASSERT_LT(j, events.size());
+      const sim::TraceEvent& next = events[j];
+      ASSERT_TRUE(next.category == sim::TraceCategory::kEnqueue ||
+                  next.category == sim::TraceCategory::kDrop)
+          << "rack " << r << " event " << i;
+      ASSERT_EQ(next.a, events[i].a) << "rack " << r << " event " << i;
+      ASSERT_EQ(next.b, events[i].b) << "rack " << r << " event " << i << ": input "
+                                     << events[i].a << " retargeted";
+      if (events[i].a >= hosts) {
+        // Reinjected from the core: bound for a host port of this rack.
+        ++from_uplink;
+        EXPECT_LT(events[i].b, hosts);
+      } else if (events[i].b >= hosts) {
+        ++to_uplink;
+      }
+    }
+  }
+  EXPECT_GT(to_uplink, 1000u);
+  EXPECT_GT(from_uplink, 1000u);
 }
 
 TEST(FatTreeRun, FlowLevelWorkloadsSplitCompletionTimesByHopClass) {
