@@ -95,7 +95,7 @@ std::size_t EventQueue::bucket_of(const Key& k) const noexcept {
   return 63 - static_cast<std::size_t>(std::countl_zero(k.tag ^ last_.tag));
 }
 
-EventQueue::Key* EventQueue::file(const Key& k) {
+void EventQueue::file(const Key& k) {
   const std::size_t b = bucket_of(k);
   Bucket& bucket = buckets_[b];
   if (bucket.last == nullptr) {
@@ -106,7 +106,7 @@ EventQueue::Key* EventQueue::file(const Key& k) {
   }
   Key* at = &bucket.last->keys[bucket.last->size++];
   *at = k;
-  return at;
+  if (bucket.min == nullptr || before(k, *bucket.min)) bucket.min = at;
 }
 
 EventId EventQueue::push(Time at, Callback cb) {
@@ -125,13 +125,7 @@ EventId EventQueue::push(Time at, Callback cb) {
   Slot& slot = slot_at(s);
   slot.seq = seq;
   slot.cb = std::move(cb);
-  const Key key{at, seq << kSlotBits | s};
-  Key* filed = file(key);
-  // An event pushed after a peek may be earlier than the peeked head.
-  if (head_ != nullptr && before(key, *head_)) {
-    head_ = filed;
-    head_bucket_ = bucket_of(key);
-  }
+  file(Key{at, seq << kSlotBits | s});
   ++live_;
   return EventId{seq, s};
 }
@@ -146,20 +140,11 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-EventQueue::Key* EventQueue::min_of(std::size_t b) const noexcept {
-  Key* best = &buckets_[b].first->keys[0];
-  for (Block* blk = buckets_[b].first; blk != nullptr; blk = blk->next) {
-    for (Key* k = blk->keys; k != blk->keys + blk->size; ++k) {
-      if (before(*k, *best)) best = k;
-    }
-  }
-  return best;
-}
-
 void EventQueue::compact(std::size_t b) noexcept {
   Bucket& bucket = buckets_[b];
   Block* out = bucket.first;
   std::uint32_t n = 0;
+  bucket.min = nullptr;
   for (Block* blk = bucket.first; blk != nullptr; blk = blk->next) {
     for (std::uint32_t i = 0; i < blk->size; ++i) {
       const Key k = blk->keys[i];
@@ -172,64 +157,58 @@ void EventQueue::compact(std::size_t b) noexcept {
         out = out->next;
         n = 0;
       }
-      out->keys[n++] = k;
+      out->keys[n] = k;
+      if (bucket.min == nullptr || before(k, *bucket.min)) bucket.min = &out->keys[n];
+      ++n;
     }
   }
   out->size = n;
   Block* rest = std::exchange(out->next, nullptr);
   while (rest != nullptr) release_block(std::exchange(rest, rest->next));
   bucket.last = out;
-  if (n == 0 && out == bucket.first) {
+  if (n == 0) {
     release_block(out);
     bucket = Bucket{};
     filled_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
   }
 }
 
-bool EventQueue::locate_head() {
-  if (head_ != nullptr && live(*head_)) return true;
-  head_ = nullptr;
+std::size_t EventQueue::head_bucket() {
   for (std::size_t w = 0; w < filled_.size(); ++w) {
     while (filled_[w] != 0) {
       const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(filled_[w]));
-      Key* best = min_of(b);
-      if (!live(*best)) {
-        // Cancellations are rare: drop them all and look again.
-        compact(b);
-        if (buckets_[b].first == nullptr) continue;
-        best = min_of(b);
-      }
-      head_ = best;
-      head_bucket_ = b;
-      return true;
+      if (live(*buckets_[b].min)) return b;
+      // Cancellations are rare: drop them all and look again.
+      compact(b);
     }
   }
-  return false;
+  return kBuckets;
 }
 
 EventQueue::Key EventQueue::take_head() {
-  if (!locate_head()) throw std::logic_error{"EventQueue::pop on empty queue"};
-  const Key head = *head_;
+  const std::size_t b = head_bucket();
+  if (b == kBuckets) throw std::logic_error{"EventQueue::pop on empty queue"};
+  const Bucket bucket = std::exchange(buckets_[b], Bucket{});
+  filled_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  const Key head = *bucket.min;
   last_ = head;
   // Every other key of the head's bucket shares more leading bits with the
   // new last key than the bucket's number, so it moves to a lower bucket.
-  Bucket& bucket = buckets_[head_bucket_];
-  for (Block* blk = std::exchange(bucket, Bucket{}).first; blk != nullptr;) {
+  for (Block* blk = bucket.first; blk != nullptr;) {
     for (const Key* k = blk->keys; k != blk->keys + blk->size; ++k) {
-      if (k != head_) file(*k);
+      if (k != bucket.min) file(*k);
     }
     release_block(std::exchange(blk, blk->next));
   }
-  filled_[head_bucket_ / 64] &= ~(std::uint64_t{1} << (head_bucket_ % 64));
-  head_ = nullptr;
   slot_at(head.slot()).seq = 0;
   --live_;
   return head;
 }
 
 Time EventQueue::next_time() {
-  if (!locate_head()) throw std::logic_error{"EventQueue::next_time on empty queue"};
-  return head_->at;
+  const std::size_t b = head_bucket();
+  if (b == kBuckets) throw std::logic_error{"EventQueue::next_time on empty queue"};
+  return buckets_[b].min->at;
 }
 
 EventQueue::Popped EventQueue::pop() {

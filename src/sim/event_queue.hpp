@@ -10,11 +10,11 @@
 // in which its 128-bit (time, sequence) differs from the last fired key, so
 // a push is one count-leading-zeros and one append.  The earliest key is in
 // the lowest non-empty bucket, found from a two-word mask; firing it takes
-// the minimum of that bucket and re-files its other keys into lower buckets,
+// that bucket's minimum and re-files its other keys into lower buckets,
 // relative to the new last key.  A key moves down at most once per bit.
-// Peeking (next_time) only finds the earliest key and remembers where it
-// is, so an event pushed after a peek, but earlier than the peeked head,
-// still fires first.
+// Each bucket tracks its earliest key as keys are filed, so finding the
+// head is a mask lookup.  Peeking (next_time) moves nothing, so an event
+// pushed after a peek, but earlier than the peeked head, still fires first.
 //
 // Storage.  Buckets hold only 16-B keys: the time, and the sequence number
 // and slot index packed in one word (so at most 2^24 events pending and 2^40
@@ -143,6 +143,7 @@ class EventQueue {
   struct Bucket {
     Block* first{nullptr};
     Block* last{nullptr};
+    Key* min{nullptr};  // its earliest key, live or not
   };
   struct BlockPool;
   static constexpr std::uint32_t kSlotsPerChunk = 256;
@@ -158,15 +159,15 @@ class EventQueue {
   /// Bucket of `k` relative to the last fired key: the highest bit in which
   /// the two differ.
   [[nodiscard]] std::size_t bucket_of(const Key& k) const noexcept;
-  /// Appends `k` to its bucket; returns where it now lies.
-  Key* file(const Key& k);
-  /// The earliest key of non-empty bucket `b`, live or not.
-  [[nodiscard]] Key* min_of(std::size_t b) const noexcept;
-  /// Drops every cancelled key of bucket `b`, freeing its slot.
+  /// Appends `k` to its bucket.
+  void file(const Key& k);
+  /// Drops every cancelled key of bucket `b`, freeing its slot, and finds
+  /// its earliest key again.
   void compact(std::size_t b) noexcept;
-  /// Finds the earliest live key and records it in head_; cancelled keys
-  /// of its bucket free their slots.  Returns false if no live key is left.
-  bool locate_head();
+  /// The bucket holding the earliest live key; cancelled keys of lower
+  /// buckets, or of its own if one was its minimum, free their slots.
+  /// Returns kBuckets if no live key is left.
+  std::size_t head_bucket();
   /// Removes the earliest live key, which must exist, makes it the last
   /// fired key and marks its event fired.
   Key take_head();
@@ -178,8 +179,6 @@ class EventQueue {
   std::vector<std::unique_ptr<Block[]>> slabs_;
   Block* spare_{nullptr};       // free blocks, chained through next
   Key last_{Time::zero(), 0};   // the last fired key
-  Key* head_{nullptr};          // the earliest key once found, until fired
-  std::size_t head_bucket_{0};  // and its bucket
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;  // capacity covers every slot
   std::uint32_t slots_made_{0};
