@@ -19,7 +19,7 @@
 // Storage.  Buckets hold only 16-B keys: the time, and the sequence number
 // and slot index packed in one word (so at most 2^24 events pending and 2^40
 // pushed; push throws std::length_error beyond).  A bucket is a chain of
-// 512-B blocks of 31 keys; blocks are carved from 16-KB slabs of 32, and a
+// 512-B blocks of 31 keys; blocks are carved from 4-KB slabs of 8, and a
 // destroyed queue hands its slabs to the next queue built on its thread, so
 // a sweep of short points does not allocate them point after point.  The
 // callables live in a slot store of fixed-size chunks that never moves a
@@ -40,12 +40,12 @@
 // free-slot stack, plus a size-class block for a capture over 24 B (128 B for
 // a packet-carrying event).  On top of the keys, each non-empty bucket holds
 // one partly filled block.  Measured with a counting copy of the queue: the
-// p128_uniform benchmark point peaks at 1,450 pending events in 2 slabs
-// (32 KB of keys, where the 4-ary heap's 24-B keys took up to 48 KB); each
-// 32-port hybrid websearch instance peaks at ~50 in 1 slab.  Slot chunks
-// (256 slots) are allocated as the pending set first grows and kept until
-// the queue is destroyed, so a queue that stays shallow, as on an 8-port
-// switch, costs one 10-KB chunk and one slab.
+// p128_uniform benchmark point peaks at 1,450 pending events in at most 64
+// blocks (32 KB of keys, where the 4-ary heap's 24-B keys took up to 48 KB);
+// each 32-port hybrid websearch instance peaks at ~50 events in at most 32
+// blocks.  Slot chunks (256 slots) are allocated as the pending set first
+// grows and kept until the queue is destroyed, so a queue that stays
+// shallow, as on an 8-port switch, costs one 10-KB chunk and a slab or two.
 #ifndef XDRS_SIM_EVENT_QUEUE_HPP
 #define XDRS_SIM_EVENT_QUEUE_HPP
 
@@ -134,7 +134,7 @@ class EventQueue {
   // non-empty bucket.  Blocks are carved from slabs the queue owns; a
   // destroyed queue hands its slabs to the next queue built on its thread.
   static constexpr std::uint32_t kBlockKeys = 31;  // a 512-B block
-  static constexpr std::size_t kSlabBlocks = 32;
+  static constexpr std::size_t kSlabBlocks = 8;
   struct Block {
     Block* next;
     std::uint32_t size;
