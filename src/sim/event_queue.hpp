@@ -32,18 +32,22 @@
 // Cancellation.  A slot records the sequence number of the event it holds,
 // 0 once that event fired or was cancelled.  An EventId carries both, so
 // cancel() is a comparison: a stale id, whose slot has since been reused,
-// matches nothing.  Cancelling releases the callable at once; the key stays
-// in its bucket until a scan for the earliest key finds it there, which
-// drops it and frees its slot.
+// matches nothing.  Cancelling releases the callable at once; the key is
+// re-filed like any other until it is the earliest key of the bucket the
+// head is sought in, and then that bucket drops all its cancelled keys and
+// frees their slots.
 //
 // Memory.  A pending event costs its 16-B key, its 40-B slot and 4 B of
 // free-slot stack, plus a size-class block for a capture over 24 B (128 B for
 // a packet-carrying event).  On top of the keys, each non-empty bucket holds
-// one partly filled block.  Measured with a counting copy of the queue: the
-// p128_uniform benchmark point peaks at 1,450 pending events in at most 64
-// blocks (32 KB of keys, where the 4-ary heap's 24-B keys took up to 48 KB);
-// each 32-port hybrid websearch instance peaks at ~50 events in at most 32
-// blocks.  Slot chunks (256 slots) are allocated as the pending set first
+// one partly filled block.  Measured with a counting copy of the queue: a
+// 32-port hybrid websearch instance of the benchmark peaks at 26,655 pending
+// events, about half of them 128-B OCS deliveries and half 16-B pump
+// wake-ups, in at most 896 blocks (448 KB of keys, where the 4-ary heap's
+// 24-B keys took up to 768 KB); the p128_uniform point peaks at 1,450 in at
+// most 64 blocks.  That is the budget: a slot must not grow to hold large
+// captures inline, since at that depth every added byte per entry costs
+// ~27 KB.  Slot chunks (256 slots) are allocated as the pending set first
 // grows and kept until the queue is destroyed, so a queue that stays
 // shallow, as on an 8-port switch, costs one 10-KB chunk and a slab or two.
 #ifndef XDRS_SIM_EVENT_QUEUE_HPP
