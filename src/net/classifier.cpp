@@ -13,9 +13,7 @@ bool Rule::matches(const FiveTuple& t) const noexcept {
   return true;
 }
 
-Classifier::Classifier(std::size_t cache_capacity) : cache_capacity_{cache_capacity} {
-  cache_.reserve(std::min<std::size_t>(cache_capacity, 1 << 16));
-}
+Classifier::Classifier(std::size_t cache_capacity) : cache_capacity_{cache_capacity} {}
 
 void Classifier::add_rule(const Rule& rule) {
   const Indexed entry{rule, next_order_++};
