@@ -45,6 +45,10 @@ EventQueue::EventQueue() {
 EventQueue::~EventQueue() {
   BlockPool* pool = block_pool();
   if (pool == nullptr) return;
+  if (pool->slabs.empty()) {
+    pool->slabs = std::move(slabs_);
+    return;
+  }
   for (auto& slab : slabs_) {
     try {
       pool->slabs.push_back(std::move(slab));
