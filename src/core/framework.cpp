@@ -82,11 +82,18 @@ schedulers::PolicyContext HybridSwitchFramework::policy_context() const {
 void HybridSwitchFramework::set_policies(const PolicyStack& stack) {
   const auto& registry = schedulers::PolicyRegistry::instance();
   const schedulers::PolicyContext ctx = policy_context();
-  scheduling_.set_estimator(registry.make_estimator(stack.estimator, ctx));
-  scheduling_.set_timing_model(registry.make_timing(stack.timing, ctx));
-  if (cfg_.discipline == SchedulingDiscipline::kSlotted) {
+  const SchedulingDiscipline d = cfg_.discipline;
+  using schedulers::PolicyKind;
+  if (consumes(d, PolicyKind::kEstimator)) {
+    scheduling_.set_estimator(registry.make_estimator(stack.estimator, ctx));
+  }
+  if (consumes(d, PolicyKind::kTiming)) {
+    scheduling_.set_timing_model(registry.make_timing(stack.timing, ctx));
+  }
+  if (consumes(d, PolicyKind::kMatcher)) {
     scheduling_.set_matcher(registry.make_matcher(stack.matcher, ctx));
-  } else {
+  }
+  if (consumes(d, PolicyKind::kCircuit)) {
     scheduling_.set_circuit_scheduler(registry.make_circuit(stack.circuit, ctx));
   }
 }

@@ -59,9 +59,10 @@ class HybridSwitchFramework {
   // ---- pluggable scheduling logic ----------------------------------------
   /// Installs the whole policy stack by spec, constructing every component
   /// through the PolicyRegistry with this switch's context (ports, seed,
-  /// reconfiguration cost).  The matcher is built only for kSlotted and the
-  /// circuit scheduler only for kHybridEpoch — the stack's other spec may
-  /// then name anything.  Throws std::invalid_argument on unknown specs.
+  /// reconfiguration cost).  Only the kinds the discipline consumes
+  /// (core::consumes: no circuit scheduler for kSlotted, no matcher for
+  /// kHybridEpoch) are built — the stack's other specs may then name
+  /// anything.  Throws std::invalid_argument on unknown specs.
   ///
   /// Bespoke (unregistered) policy objects can still be installed through
   /// scheduling().set_matcher() and friends; registering them instead makes

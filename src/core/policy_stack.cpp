@@ -84,6 +84,15 @@ PolicyStack PolicyStack::parse(std::string_view spec) {
   return stack;
 }
 
+PolicyStack PolicyStack::effective(SchedulingDiscipline d) const {
+  PolicyStack out = *this;
+  for (const PolicyKind kind : {PolicyKind::kMatcher, PolicyKind::kCircuit,
+                                PolicyKind::kEstimator, PolicyKind::kTiming}) {
+    if (!consumes(d, kind)) *field_of(out, kind) = "-";
+  }
+  return out;
+}
+
 std::string PolicyStack::to_string() const {
   // Names registered under more than one kind would parse back as
   // ambiguous; qualify exactly those so parse(to_string()) always

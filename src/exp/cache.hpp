@@ -3,13 +3,15 @@
 // A sweep point is fully determined by its ScenarioSpec (the simulator is
 // deterministic), so its RunReport can be cached on disk and reused across
 // runs, processes and hosts.  The key is a stable 64-bit FNV-1a hash of the
-// spec's serialized identity fields plus RunReport::kSchemaVersion — change
-// any axis value, any policy spec, or the report schema and the point gets
-// a fresh entry.  One JSON file per point:
+// spec's canonical identity (ScenarioSpec::identity_json) plus
+// RunReport::kSchemaVersion — change any axis value, any policy spec the
+// discipline consumes, or the report schema and the point gets a fresh
+// entry; points differing only in a kind their discipline never builds
+// share one.  One JSON file per identity:
 //
 //   <dir>/<16-hex-digit spec hash>.json
 //     { "cache_schema": 1, "schema_version": 2, "spec_hash": "…",
-//       "spec": { …ScenarioSpec::fields()… },
+//       "spec": { …ScenarioSpec::identity_json()… },
 //       "report": { …full report state (core/report_io)… } }
 //
 // lookup() verifies the stored spec object byte-for-byte against the probe

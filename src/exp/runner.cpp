@@ -10,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include <filesystem>
 
@@ -215,10 +216,27 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
   const std::size_t owned = shard.owned_of(grid.size());
   if (owned == 0) return result;
 
-  // Workers take the shard's j-th point, shard.index + j * shard.count, from
-  // one counter.  Completion order is nondeterministic, so each result
-  // lands in its own slot and the slots stay in grid order — the artefact
-  // bytes can't tell how many threads ran.
+  // The shard's j-th point is grid point shard.index + j * shard.count.
+  // Each owned point's canonical identity is rendered once: the first point
+  // of an identity in grid order leads it, and only leaders run — the
+  // other points of that identity copy the leader's report after the pool
+  // drains.  Which point leads depends on the grid alone, never on the
+  // thread count.
+  const auto grid_index = [&shard](std::size_t j) { return shard.index + j * shard.count; };
+  std::vector<std::size_t> leader_of(owned);
+  std::vector<std::size_t> leaders;
+  {
+    std::unordered_map<std::string, std::size_t> first;
+    for (std::size_t j = 0; j < owned; ++j) {
+      const auto [it, fresh] = first.try_emplace(grid[grid_index(j)].identity_json(), j);
+      leader_of[j] = it->second;
+      if (fresh) leaders.push_back(j);
+    }
+  }
+
+  // Workers take leaders from one counter.  Completion order is
+  // nondeterministic, so each result lands in its own slot and the slots
+  // stay in grid order — the artefact bytes can't tell how many threads ran.
   std::vector<PointResult> slots(owned);
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
@@ -231,12 +249,12 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
       // A failed point aborts the whole sweep: don't burn the remaining
       // grid on the surviving workers just to rethrow afterwards.
       if (failed.load(std::memory_order_relaxed)) return;
-      const std::size_t j = next.fetch_add(1, std::memory_order_relaxed);
-      if (j >= owned) return;
-      const std::size_t i = shard.index + j * shard.count;
+      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+      if (k >= leaders.size()) return;
+      const std::size_t j = leaders[k];
       PointResult& slot = slots[j];
-      slot.spec = grid[i];
-      slot.index = i;
+      slot.index = grid_index(j);
+      slot.spec = grid[slot.index];
       const auto point_began = std::chrono::steady_clock::now();
       try {
         std::optional<core::RunReport> cached;
@@ -278,7 +296,7 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
 
   unsigned threads = plan_.threads != 0 ? plan_.threads
                                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = static_cast<unsigned>(std::min<std::size_t>(threads, owned));
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, leaders.size()));
 
   if (threads <= 1) {
     work();
@@ -290,6 +308,17 @@ SweepResult ExperimentRunner::run(const std::vector<ScenarioSpec>& grid) const {
   }
 
   if (error) std::rethrow_exception(error);
+  // Every other point of an identity is served from its leader's report,
+  // in grid order: no simulation, no cache round-trip, no sidecar.
+  for (std::size_t j = 0; j < owned; ++j) {
+    if (leader_of[j] == j) continue;
+    PointResult& slot = slots[j];
+    slot.index = grid_index(j);
+    slot.spec = grid[slot.index];
+    slot.report = slots[leader_of[j]].report;
+    slot.cached = true;
+    if (plan_.progress) plan_.progress(++completed, owned, slot.spec);
+  }
   result.points = std::move(slots);
   return result;
 }

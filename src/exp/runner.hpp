@@ -8,15 +8,28 @@
 // fixed grid and seeds, every emitted byte is identical whether the sweep
 // ran on 1 thread or 64, and regardless of completion order.
 //
+// Each point's canonical identity (ScenarioSpec::identity_json) decides
+// what actually runs.  Points that differ only in a policy kind their
+// discipline does not consume — the matcher axis of a hybrid-epoch grid,
+// the circuit axis of a slotted one — share one identity, and run() simulates
+// each identity once: the first point of it in grid order does the cache
+// lookup and, on a miss, the simulation and the store; every later point
+// of it copies that report and reads as `cached`.  The 960-point
+// policy-cross preset is 80 simulations.  The copies are the same bytes
+// the simulation would give, so artefacts do not change, at any thread
+// count.
+//
 // Two scale-out mechanisms ride on that determinism:
 //   * A static shard (ShardOptions) runs one slice of the grid per process:
 //     point i belongs to shard i % count.  Per-shard results serialize with
 //     to_shard_json() and SweepResult::merge_shards() reassembles the full
 //     grid-order result, byte-identical to a single-process run.
+//     A shard deduplicates only within the points it owns.
 //   * A ResultCache (exp/cache.hpp) skips points whose reports are already
-//     on disk, making iteration on one axis cheap.  Every point is stored
-//     the moment it finishes, so rerunning a killed shard with the same
-//     cache recomputes only the point that was in flight.
+//     on disk, making iteration on one axis cheap.  Every simulated point
+//     is stored the moment it finishes, so rerunning a killed shard with
+//     the same cache recomputes only the point that was in flight.  Only
+//     the first point of each identity touches the cache.
 #ifndef XDRS_EXP_RUNNER_HPP
 #define XDRS_EXP_RUNNER_HPP
 
@@ -56,19 +69,23 @@ struct ExecutionPlan {
   ShardOptions shard{};
   /// Optional result cache: points whose reports are cached are not
   /// simulated (cache->stats() says how many), fresh reports are stored
-  /// best-effort (a failing cache directory never aborts the sweep).
+  /// best-effort (a failing cache directory never aborts the sweep).  Only
+  /// the first point of each identity looks up or stores an entry.
   ResultCache* cache{nullptr};
   /// When nonempty, every point this process actually simulates runs with
   /// telemetry enabled and writes a `<spec_hash_hex>.telemetry.json`
   /// sidecar (obs::telemetry_sidecar_json) into this directory, created on
   /// demand.  Cache hits write no sidecar — their compute never happened
-  /// here.  Sidecars ride BESIDE the result artefacts: reports, cache
+  /// here, and neither do points copied from an earlier point with the
+  /// same identity.  Sidecars ride BESIDE the result artefacts: reports, cache
   /// entries and shard files are byte-identical with this set or not
   /// (CI-gated), and writes are best-effort like cache stores.
   std::string telemetry_dir;
   /// Optional progress callback, invoked after each completed point with
   /// (completed, points the shard owns, point).  Called from worker threads
-  /// under a lock; completion order is nondeterministic, so route it to
+  /// under a lock, then — for the points copied from an earlier point with
+  /// the same identity — from the calling thread in grid order after the
+  /// pool drains; completion order is nondeterministic, so route it to
   /// stderr/logging, never into result artefacts.
   std::function<void(std::size_t, std::size_t, const ScenarioSpec&)> progress;
 };
@@ -81,15 +98,17 @@ struct PointResult {
   /// merges reassemble grid order from any set of shards.
   std::size_t index{0};
   /// Wall-clock microseconds this point took in this process (simulation,
-  /// or the cache round-trip that replaced it — cached points read as ~0).
+  /// or the cache round-trip that replaced it — cached points read as ~0,
+  /// points copied from an earlier point with the same identity as 0).
   /// Recorded in shard files so merges and `sweepctl status` can report
   /// straggler shards; deliberately NOT part of to_json()/to_csv(), which
   /// must stay byte-identical across thread counts and machines.
   std::int64_t wall_us{0};
-  /// True when the report came from the ResultCache instead of a fresh
-  /// simulation in this process.  Shard files carry it so `sweepctl status`
-  /// can split cache round-trips from real compute when attributing shard
-  /// wall time; like wall_us it never enters to_json()/to_csv().
+  /// True when the point was served without a simulation here: from the
+  /// cache or from an earlier point with the same identity.  Shard files
+  /// carry it so `sweepctl status` can split cache round-trips from real
+  /// compute when attributing shard wall time; like wall_us it never enters
+  /// to_json()/to_csv().
   bool cached{false};
 };
 
@@ -132,7 +151,8 @@ class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExecutionPlan plan = {}) : plan_{std::move(plan)} {}
 
-  /// Runs every point of `grid` the plan's shard owns.  Exceptions thrown
+  /// Runs every point of `grid` the plan's shard owns, simulating each
+  /// canonical identity once (see the file comment).  Exceptions thrown
   /// by a point (unknown policy names, config errors) are rethrown on the
   /// calling thread after the pool drains.  Throws std::invalid_argument on
   /// a malformed shard (ExecutionPlan::shard).

@@ -229,7 +229,10 @@ ScenarioSpec ScenarioSpec::composite(std::string scenario, const std::vector<Sce
   return s;
 }
 
-std::string ScenarioSpec::key() const {
+namespace {
+
+/// key() with `stack` rendered in place of the spec's own policies.
+std::string key_with(const ScenarioSpec& spec, const core::PolicyStack& stack) {
   // Every axis the built-in grids mutate must render distinctly: the
   // discipline (a mutator can flip slotted vs hybrid on one scenario), the
   // FULL policy stack (a grid axis can cross any of the four kinds) and
@@ -239,56 +242,67 @@ std::string ScenarioSpec::key() const {
   // every preset).  Knobs outside these axes (window, share splits, trace
   // content) are deliberately not rendered — that is with_label()'s job,
   // and the cache identity is identity_json(), not this string.
-  std::string k = scenario + '/' + to_string(config.discipline) + '/' + policies.to_string() +
-                  "/p" + std::to_string(config.ports) + "/l" + stats::format_double(load()) +
-                  "/s" + std::to_string(config.seed);
+  std::string k = spec.scenario + '/' + to_string(spec.config.discipline) + '/' +
+                  stack.to_string() + "/p" + std::to_string(spec.config.ports) + "/l" +
+                  stats::format_double(spec.load()) + "/s" + std::to_string(spec.config.seed);
   // Topology axes render only for multi-rack points, so every pre-topology
   // key — and with it every committed artefact label — is unchanged.
-  if (topology.multi_rack()) {
-    k += "/r" + std::to_string(topology.racks) + "/o" +
-         stats::format_double(topology.oversubscription) + "/loc" +
-         stats::format_double(locality());
+  if (spec.topology.multi_rack()) {
+    k += "/r" + std::to_string(spec.topology.racks) + "/o" +
+         stats::format_double(spec.topology.oversubscription) + "/loc" +
+         stats::format_double(spec.locality());
   }
   return k;
 }
 
-std::vector<stats::Field> ScenarioSpec::fields() const {
+/// fields() with `stack` in place of the spec's own policies, in the
+/// matcher/circuit/estimator/timing columns and in a key()-derived label.
+std::vector<stats::Field> fields_with(const ScenarioSpec& spec, const core::PolicyStack& stack) {
   using stats::Field;
   std::string names;
-  for (const auto& w : workloads) {
+  for (const auto& w : spec.workloads) {
     if (!names.empty()) names += '+';
     names += w.name();
   }
   std::vector<Field> f;
   f.reserve(15);
-  f.push_back(Field::str("label", label.empty() ? key() : label));
-  f.push_back(Field::str("scenario", scenario));
-  f.push_back(Field::u64("ports", config.ports));
-  f.push_back(Field::f64("load", load()));
+  f.push_back(Field::str("label", spec.label.empty() ? key_with(spec, stack) : spec.label));
+  f.push_back(Field::str("scenario", spec.scenario));
+  f.push_back(Field::u64("ports", spec.config.ports));
+  f.push_back(Field::f64("load", spec.load()));
   // The load the run actually offers: rederivation clamps at the edges
   // (ON/OFF duty, incast response floor), and artefacts must never claim a
   // load they did not run.
-  f.push_back(Field::f64("effective_load", effective_load()));
-  f.push_back(Field::str("discipline", to_string(config.discipline)));
-  f.push_back(Field::str("matcher", policies.matcher));
-  f.push_back(Field::str("circuit", policies.circuit));
-  f.push_back(Field::str("estimator", policies.estimator));
-  f.push_back(Field::str("timing", policies.timing));
+  f.push_back(Field::f64("effective_load", spec.effective_load()));
+  f.push_back(Field::str("discipline", to_string(spec.config.discipline)));
+  f.push_back(Field::str("matcher", stack.matcher));
+  f.push_back(Field::str("circuit", stack.circuit));
+  f.push_back(Field::str("estimator", stack.estimator));
+  f.push_back(Field::str("timing", stack.timing));
   f.push_back(Field::str("workloads", names));
-  f.push_back(Field::u64("seed", config.seed));
-  f.push_back(Field::i64("spec_duration_ps", duration.ps()));
-  f.push_back(Field::i64("warmup_ps", warmup.ps()));
+  f.push_back(Field::u64("seed", spec.config.seed));
+  f.push_back(Field::i64("spec_duration_ps", spec.duration.ps()));
+  f.push_back(Field::i64("warmup_ps", spec.warmup.ps()));
   // Topology axes (appended, so pre-topology columns keep their positions;
   // single-switch points report the r1/o1/loc1 identity values).
-  f.push_back(Field::u64("racks", topology.racks));
-  f.push_back(Field::f64("oversubscription", topology.oversubscription));
-  f.push_back(Field::f64("locality", locality()));
+  f.push_back(Field::u64("racks", spec.topology.racks));
+  f.push_back(Field::f64("oversubscription", spec.topology.oversubscription));
+  f.push_back(Field::f64("locality", spec.locality()));
   return f;
 }
 
+}  // namespace
+
+std::string ScenarioSpec::key() const { return key_with(*this, policies); }
+
+std::vector<stats::Field> ScenarioSpec::fields() const { return fields_with(*this, policies); }
+
 std::string ScenarioSpec::identity_json() const {
   using stats::Field;
-  std::vector<Field> f = fields();
+  // The effective stack, not the requested one: a kind the discipline does
+  // not consume is never built, so it must not split identities — a
+  // hybrid point's matcher axis runs one simulation, not one per matcher.
+  std::vector<Field> f = fields_with(*this, policies.effective(config.discipline));
   // Every behaviour-affecting FrameworkConfig knob fields() leaves out.  A
   // new config field MUST be added here, or specs differing only in it will
   // share cache entries; test_result_cache's axis-sensitivity test is the

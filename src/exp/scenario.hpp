@@ -126,6 +126,14 @@ struct ScenarioSpec {
   /// parameter lists and the VOIP overlay.  The result-cache key and the
   /// shard-file cross-check hash THIS, not fields(), so two specs share a
   /// cache entry only when they would run the identical simulation.
+  ///
+  /// It is the point's canonical identity: a policy kind the discipline
+  /// does not consume (core::consumes — the matcher of a hybrid-epoch
+  /// switch, the circuit scheduler of a slotted one) renders as '-' in the
+  /// matcher/circuit fields and in a key()-derived label, because it is
+  /// never built.  Points that differ only there share one identity, and
+  /// ExperimentRunner simulates each identity once per sweep.  key(),
+  /// fields() and the artefact columns keep the requested stack.
   [[nodiscard]] std::string identity_json() const;
 };
 

@@ -3,8 +3,10 @@
 // yields bit-identical serialized results for any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <string>
 
 #include "exp/runner.hpp"
 
@@ -86,6 +88,93 @@ TEST(ExperimentRunner, EmptyGridIsEmptyResult) {
   const SweepResult res = ExperimentRunner{}.run({});
   EXPECT_TRUE(res.points.empty());
   EXPECT_EQ(res.merged().offered_packets, 0u);
+}
+
+// ---- one simulation per canonical identity ---------------------------------
+
+/// 3 matchers x 2 circuits on a hybrid scenario: the matcher is never
+/// built, so 6 points are 2 identities (one per circuit).
+std::vector<ScenarioSpec> hybrid_cross() {
+  std::vector<ScenarioSpec> grid{make_scenario("flows", 4, 0.5, 7).with_window(500_us, 100_us)};
+  grid = expand(grid, axis_matcher({"islip:1", "maxweight", "pim:1"}));
+  grid = expand(grid, axis_circuit({"solstice", "cthrough"}));
+  return grid;
+}
+
+/// 2 matchers x 3 circuits on a slotted scenario: 2 identities (one per
+/// matcher).
+std::vector<ScenarioSpec> slotted_cross() {
+  std::vector<ScenarioSpec> grid{make_scenario("uniform", 4, 0.5, 7).with_window(500_us, 100_us)};
+  grid = expand(grid, axis_matcher({"islip:1", "maxweight"}));
+  grid = expand(grid, axis_circuit({"solstice", "cthrough", "bvn:4"}));
+  return grid;
+}
+
+std::size_t simulated(const SweepResult& res) {
+  return static_cast<std::size_t>(std::count_if(
+      res.points.begin(), res.points.end(), [](const PointResult& p) { return !p.cached; }));
+}
+
+TEST(ExperimentRunner, SimulatesEachIdentityOnce) {
+  for (const auto& grid : {hybrid_cross(), slotted_cross()}) {
+    ASSERT_EQ(grid.size(), 6u);
+    std::size_t progress_calls = 0;
+    ExecutionPlan one;
+    one.threads = 1;
+    one.progress = [&progress_calls](std::size_t, std::size_t, const ScenarioSpec&) {
+      ++progress_calls;
+    };
+    const SweepResult a = ExperimentRunner{one}.run(grid);
+    ASSERT_EQ(a.points.size(), grid.size());
+    EXPECT_EQ(simulated(a), 2u) << grid[0].key();
+    EXPECT_GT(a.points[0].report.offered_packets, 0u) << grid[0].key();
+    EXPECT_EQ(progress_calls, grid.size());
+    // The first point of each identity in grid order runs; its report
+    // serves the rest, and every report is what the point's own spec gives.
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(a.points[i].index, i);
+      EXPECT_EQ(a.points[i].spec.key(), grid[i].key());
+      EXPECT_EQ(a.points[i].report.to_json(), run_scenario(grid[i]).to_json()) << grid[i].key();
+    }
+
+    ExecutionPlan many;
+    many.threads = 4;
+    const SweepResult b = ExperimentRunner{many}.run(grid);
+    EXPECT_EQ(a.to_json(), b.to_json());
+    EXPECT_EQ(a.to_csv(), b.to_csv());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(a.points[i].cached, b.points[i].cached) << i;
+    }
+  }
+}
+
+TEST(ExperimentRunner, LeadersAreTheFirstPointOfEachIdentity) {
+  // hybrid_cross() is matcher-major: points 0 and 1 (islip:1 with each
+  // circuit) lead, 2..5 copy them.
+  const SweepResult res = ExperimentRunner{}.run(hybrid_cross());
+  for (std::size_t i = 0; i < res.points.size(); ++i) {
+    EXPECT_EQ(res.points[i].cached, i >= 2) << i;
+    if (i >= 2) {
+      EXPECT_EQ(res.points[i].wall_us, 0) << i;
+    }
+  }
+}
+
+TEST(ExperimentRunner, ShardsDeduplicateWithinTheirOwnPoints) {
+  // Shard 0/2 owns points 0, 2, 4 (all solstice), shard 1/2 owns 1, 3, 5
+  // (all cthrough): one simulation each, and the merge is the whole run.
+  const auto grid = hybrid_cross();
+  std::vector<std::string> shard_files;
+  for (std::size_t index = 0; index < 2; ++index) {
+    ExecutionPlan plan;
+    plan.shard = {index, 2};
+    const SweepResult part = ExperimentRunner{plan}.run(grid);
+    ASSERT_EQ(part.points.size(), 3u);
+    EXPECT_EQ(simulated(part), 1u) << index;
+    shard_files.push_back(part.to_shard_json());
+  }
+  EXPECT_EQ(SweepResult::merge_shards(grid, shard_files).to_json(),
+            ExperimentRunner{}.run(grid).to_json());
 }
 
 TEST(SweepResult, TableSelectsColumnsByFieldName) {

@@ -97,6 +97,19 @@ TEST(Presets, EveryPresetExpandsToPairwiseDistinctKeys) {
   }
 }
 
+TEST(Presets, OnlyPolicyCrossRepeatsAnIdentity) {
+  // A sweep simulates each canonical identity once.  Every preset but the
+  // policy cross runs one identity per point; the cross is a hybrid grid,
+  // so its 12 matchers collapse onto 4 circuits x 4 estimators x 5 timing
+  // models = 80 identities (hw:500MHz is its own clock, not "hardware").
+  for (const std::string& name : known_presets()) {
+    const std::vector<ScenarioSpec> grid = make_preset(name);
+    std::set<std::string> identities;
+    for (const ScenarioSpec& spec : grid) identities.insert(spec.identity_json());
+    EXPECT_EQ(identities.size(), name == "policy-cross" ? 80u : grid.size()) << name;
+  }
+}
+
 TEST(Presets, KeysAreStableAcrossExpansions) {
   // The key is an identity, not a transient label: rebuilding the grid
   // reproduces the same keys in the same order.

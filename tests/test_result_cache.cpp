@@ -45,10 +45,12 @@ ScenarioSpec fixed_spec() {
 // for shared cache directories — if it changes, every cached point is
 // (correctly) invalidated, but an *unintentional* change means the spec
 // serialization or the FNV constants drifted.  Update it only alongside a
-// deliberate ScenarioSpec::fields() / RunReport::kSchemaVersion change.
+// deliberate ScenarioSpec::identity_json() / RunReport::kSchemaVersion
+// change.  (Last changed when the identity began to render the policy
+// kinds a discipline does not consume as '-': this slotted spec's circuit.)
 TEST_F(ResultCacheTest, SpecHashGoldenIsStable) {
-  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f4c769e3e727.json");
-  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "1a24f4c769e3e727.json");  // deterministic
+  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "457ce605e50d23d1.json");
+  EXPECT_EQ(ResultCache::entry_name(fixed_spec()), "457ce605e50d23d1.json");  // deterministic
 }
 
 TEST_F(ResultCacheTest, SpecHashSeesEveryAxisAndTheWholePolicyStack) {
@@ -57,7 +59,9 @@ TEST_F(ResultCacheTest, SpecHashSeesEveryAxisAndTheWholePolicyStack) {
   EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_load(0.6)), base);
   EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_seed(8)), base);
   EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_matcher("maxweight")), base);
-  EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_circuit("cthrough")), base);
+  // fixed_spec() is slotted, which never builds a circuit scheduler: its
+  // circuit spec cannot change the result, so it does not change the hash.
+  EXPECT_EQ(spec_hash(ScenarioSpec{fixed_spec()}.with_circuit("cthrough")), base);
   EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_estimator("ewma:0.25")), base);
   EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_timing("ideal")), base);
   EXPECT_NE(spec_hash(ScenarioSpec{fixed_spec()}.with_window(600_us, 100_us)), base);
@@ -92,6 +96,58 @@ TEST_F(ResultCacheTest, SpecHashSeesEveryAxisAndTheWholePolicyStack) {
   tweaked = fixed_spec();
   tweaked.workloads[0].seed += 1;
   EXPECT_NE(spec_hash(tweaked), base);
+}
+
+// Each discipline's consumed kinds, written out rather than read from
+// core::consumes, so a rule that drops a consumed kind from the identity
+// fails here.
+TEST_F(ResultCacheTest, SpecHashSeesExactlyTheKindsTheDisciplineConsumes) {
+  const ScenarioSpec slotted = fixed_spec();
+  const ScenarioSpec hybrid = make_scenario("flows", 4, 0.5, 7).with_window(500_us, 100_us);
+  ASSERT_EQ(slotted.config.discipline, core::SchedulingDiscipline::kSlotted);
+  ASSERT_EQ(hybrid.config.discipline, core::SchedulingDiscipline::kHybridEpoch);
+
+  struct Case {
+    const ScenarioSpec& base;
+    bool matcher, circuit;  // estimator and timing are consumed by both
+  };
+  for (const Case& c : {Case{slotted, true, false}, Case{hybrid, false, true}}) {
+    const std::uint64_t base = spec_hash(c.base);
+    const std::string name = to_string(c.base.config.discipline);
+    EXPECT_EQ(spec_hash(ScenarioSpec{c.base}.with_matcher("maxweight")) != base, c.matcher)
+        << name;
+    EXPECT_EQ(spec_hash(ScenarioSpec{c.base}.with_circuit("cthrough")) != base, c.circuit)
+        << name;
+    EXPECT_NE(spec_hash(ScenarioSpec{c.base}.with_estimator("ewma:0.25")), base) << name;
+    EXPECT_NE(spec_hash(ScenarioSpec{c.base}.with_timing("ideal")), base) << name;
+    EXPECT_NE(spec_hash(ScenarioSpec{c.base}.with_timing("software")), base) << name;
+
+    // The unconsumed kind renders as '-', in its field and in the label.
+    const std::string identity = c.base.identity_json();
+    EXPECT_NE(identity.find(c.matcher ? "\"circuit\":\"-\"" : "\"matcher\":\"-\""),
+              std::string::npos)
+        << identity;
+    EXPECT_NE(identity.find(c.matcher ? "/islip:2/-/instantaneous/hardware/"
+                                      : "/-/solstice/instantaneous/hardware/"),
+              std::string::npos)
+        << identity;
+    // The artefact columns keep the requested stack.
+    EXPECT_EQ(c.base.key().find("/-/"), std::string::npos) << c.base.key();
+  }
+}
+
+// hw:500MHz is not an alias of hardware: it runs a 2-ns pipeline clock
+// against the default 6.4 ns, so the two stay distinct identities with
+// distinct modelled decision latencies.
+TEST_F(ResultCacheTest, HwClockSpecIsNotAnAliasOfHardware) {
+  const ScenarioSpec hardware = ScenarioSpec{fixed_spec()}.with_timing("hardware");
+  const ScenarioSpec clocked = ScenarioSpec{fixed_spec()}.with_timing("hw:500MHz");
+  EXPECT_NE(hardware.identity_json(), clocked.identity_json());
+  EXPECT_NE(spec_hash(hardware), spec_hash(clocked));
+  const core::RunReport a = run_scenario(hardware);
+  const core::RunReport b = run_scenario(clocked);
+  ASSERT_GT(a.scheduler_decisions, 0u);
+  EXPECT_NE(a.mean_decision_latency, b.mean_decision_latency);
 }
 
 // ---- hit / miss / stale paths ----------------------------------------------
@@ -206,6 +262,31 @@ TEST_F(ResultCacheTest, WarmSweepExecutesZeroSimulationsAndEmitsIdenticalBytes) 
 
   EXPECT_EQ(second.to_json(), first.to_json());
   EXPECT_EQ(second.to_csv(), first.to_csv());
+}
+
+TEST_F(ResultCacheTest, OnlyTheFirstPointOfEachIdentityTouchesTheCache) {
+  // A hybrid grid crossing 3 matchers with 2 circuits is 2 identities.
+  std::vector<ScenarioSpec> grid{make_scenario("flows", 4, 0.5, 7).with_window(500_us, 100_us)};
+  grid = expand(grid, axis_matcher({"islip:1", "maxweight", "pim:1"}));
+  grid = expand(grid, axis_circuit({"solstice", "cthrough"}));  // 6 points
+
+  ResultCache cold{dir_};
+  ExecutionPlan cold_opts;
+  cold_opts.cache = &cold;
+  const SweepResult first = ExperimentRunner{cold_opts}.run(grid);
+  EXPECT_EQ(cold.stats().misses, 2u);
+  EXPECT_EQ(cold.stats().stores, 2u);
+  EXPECT_EQ(cold.stats().hits, 0u);
+
+  ResultCache warm{dir_};
+  ExecutionPlan warm_opts;
+  warm_opts.cache = &warm;
+  const SweepResult second = ExperimentRunner{warm_opts}.run(grid);
+  EXPECT_EQ(warm.stats().hits, 2u);
+  EXPECT_EQ(warm.stats().misses, 0u);
+  EXPECT_EQ(warm.stats().stores, 0u);
+  for (const PointResult& p : second.points) EXPECT_TRUE(p.cached) << p.index;
+  EXPECT_EQ(second.to_json(), first.to_json());
 }
 
 TEST_F(ResultCacheTest, ShardsCanShareOneCacheDirectory) {
