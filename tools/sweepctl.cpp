@@ -14,12 +14,14 @@
 // Every finished point is stored in the --cache directory at once, so a
 // shard whose process died is rerun with the same command: it recomputes
 // only the point that was in flight, and the merge is still byte-identical
-// (CI-gated).  `status` reports grid size, cache presence, shard-file
-// coverage and straggler shards; `presets` lists the grids.  `gc` evicts
-// cache entries older than --keep-days.  `diff A.json B.json` matches two
-// artefacts' points by label and prints every metric that drifted, old ->
-// new; it exits 1 on any drift, so a refactor shows zero drift with it and
-// a result-changing change lists what moved.
+// (CI-gated).  `run` prints how many points it simulated: points that
+// share a canonical identity (exp/runner.hpp) run once, so the 960-point
+// policy-cross preset simulates 80.  `status` reports grid size, cache
+// presence, shard-file coverage and straggler shards; `presets` lists the
+// grids.  `gc` evicts cache entries older than --keep-days.  `diff A.json
+// B.json` matches two artefacts' points by label and prints every metric
+// that drifted, old -> new; it exits 1 on any drift, so a refactor shows
+// zero drift with it and a result-changing change lists what moved.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -87,7 +89,7 @@ int usage(const char* error = nullptr) {
                "                                print each drifted metric, old -> new;\n"
                "                                exit 1 on any drift\n"
                "\n"
-               "a flag the command does not read is an error.\n");
+               "a flag or file argument the command does not read is an error.\n");
   return 2;
 }
 
@@ -125,20 +127,26 @@ bool parse_shard(const std::string& val, exp::ShardOptions& shard) {
   return shard.count >= 1 && shard.index < shard.count;
 }
 
-/// The flags each command reads.  Any other flag is rejected, so a flag a
-/// command would ignore (a removed one, or another command's) fails loudly.
-const std::map<std::string_view, std::vector<std::string_view>> kCommandFlags{
+/// What each command reads: its flags, and whether it takes positional
+/// file arguments.  Anything else is rejected, so a flag or a file a
+/// command would ignore (a removed flag, another command's, a stray path)
+/// fails loudly.
+struct CommandArgs {
+  std::vector<std::string_view> flags;
+  bool files{false};
+};
+const std::map<std::string_view, CommandArgs> kCommandArgs{
     {"presets", {}},
     {"run",
-     {"--preset", "--shard", "--cache", "--threads", "--out", "--csv", "--telemetry",
-      "--progress"}},
-    {"merge", {"--preset", "--out", "--csv"}},
-    {"status", {"--preset", "--cache", "--telemetry", "--stages"}},
+     {{"--preset", "--shard", "--cache", "--threads", "--out", "--csv", "--telemetry",
+       "--progress"}}},
+    {"merge", {{"--preset", "--out", "--csv"}, true}},
+    {"status", {{"--preset", "--cache", "--telemetry", "--stages"}, true}},
     {"trace",
-     {"--scenario", "--policies", "--ports", "--load", "--seed", "--racks", "--oversub",
-      "--locality", "--out"}},
-    {"gc", {"--cache", "--keep-days"}},
-    {"diff", {}},
+     {{"--scenario", "--policies", "--ports", "--load", "--seed", "--racks", "--oversub",
+       "--locality", "--out"}}},
+    {"gc", {{"--cache", "--keep-days"}}},
+    {"diff", {{}, true}},
 };
 
 /// Fills `opt` from the command line.  On a malformed command line prints
@@ -147,16 +155,16 @@ const std::map<std::string_view, std::vector<std::string_view>> kCommandFlags{
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.command = argv[1];
-  const auto command = kCommandFlags.find(opt.command);
+  const auto command = kCommandArgs.find(opt.command);
   for (int a = 2; a < argc; ++a) {
     const std::string arg = argv[a];
     const auto eq = arg.find('=');
     // Accept both "--flag=value" and "--flag value".
     const std::string key = arg.substr(0, eq);
     std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (command != kCommandFlags.end() && key.starts_with("--") &&
-        std::find(command->second.begin(), command->second.end(), key) ==
-            command->second.end()) {
+    if (command != kCommandArgs.end() && key.starts_with("--") &&
+        std::find(command->second.flags.begin(), command->second.flags.end(), key) ==
+            command->second.flags.end()) {
       std::fprintf(stderr, "sweepctl: %s: unknown flag '%s'\n", opt.command.c_str(),
                    key.c_str());
       return false;
@@ -229,6 +237,10 @@ bool parse(int argc, char** argv, Options& opt) {
     } else if (arg.size() >= 2 && arg[0] == '-' && arg[1] == '-') {
       std::fprintf(stderr, "sweepctl: unknown flag '%s'\n", key.c_str());
       return false;
+    } else if (command != kCommandArgs.end() && !command->second.files) {
+      std::fprintf(stderr, "sweepctl: %s: unexpected argument '%s'\n", opt.command.c_str(),
+                   arg.c_str());
+      return false;
     } else {
       opt.inputs.push_back(arg);
     }
@@ -292,8 +304,14 @@ int cmd_run(const Options& opt) {
   write_file(opt.out_path, shard_file ? result.to_shard_json() : result.to_json());
   if (!opt.csv_path.empty()) write_file(opt.csv_path, result.to_csv());
 
-  std::printf("preset %s: %zu points, shard %zu/%zu ran %zu\n", opt.preset.c_str(), grid.size(),
-              opt.shard.index, opt.shard.count, result.points.size());
+  // Points served without a simulation here — cache hits and points that
+  // share an earlier point's identity — read as cached.
+  const auto simulated = static_cast<std::size_t>(
+      std::count_if(result.points.begin(), result.points.end(),
+                    [](const exp::PointResult& p) { return !p.cached; }));
+  std::printf("preset %s: %zu points, shard %zu/%zu ran %zu, simulated %zu\n",
+              opt.preset.c_str(), grid.size(), opt.shard.index, opt.shard.count,
+              result.points.size(), simulated);
   if (cache) {
     const exp::CacheStats cs = cache->stats();
     std::printf("cache %s: %llu hits, %llu misses, %llu stale, %llu stored (%llu simulated)\n",
@@ -532,7 +550,8 @@ int cmd_status(const Options& opt) {
     std::printf("coverage: %zu/%zu points, %zu missing\n", grid.size() - missing, grid.size(),
                 missing);
     if (cached_points != 0) {
-      std::printf("cache hits: %zu points served from cache (%.1f ms round-trips; "
+      std::printf("cached: %zu points served without a simulation, from the cache or an "
+                  "earlier point of the same identity (%.1f ms round-trips; "
                   "compute wall %.1f ms)\n",
                   cached_points, static_cast<double>(cached_wall_us) / 1e3,
                   static_cast<double>(compute_wall_us) / 1e3);
