@@ -116,8 +116,17 @@ std::size_t simulated(const SweepResult& res) {
 }
 
 TEST(ExperimentRunner, SimulatesEachIdentityOnce) {
-  for (const auto& grid : {hybrid_cross(), slotted_cross()}) {
-    ASSERT_EQ(grid.size(), 6u);
+  // Both grids are matcher-major.  The first point of each identity in
+  // grid order leads: hybrid_cross() points 0 and 1 (islip:1 with each
+  // circuit), slotted_cross() points 0 and 3 (each matcher with solstice).
+  struct Case {
+    std::vector<ScenarioSpec> grid;
+    std::vector<bool> leads;
+  };
+  for (const Case& c : {Case{hybrid_cross(), {true, true, false, false, false, false}},
+                        Case{slotted_cross(), {true, false, false, true, false, false}}}) {
+    const auto& grid = c.grid;
+    ASSERT_EQ(grid.size(), c.leads.size());
     std::size_t progress_calls = 0;
     ExecutionPlan one;
     one.threads = 1;
@@ -129,11 +138,15 @@ TEST(ExperimentRunner, SimulatesEachIdentityOnce) {
     EXPECT_EQ(simulated(a), 2u) << grid[0].key();
     EXPECT_GT(a.points[0].report.offered_packets, 0u) << grid[0].key();
     EXPECT_EQ(progress_calls, grid.size());
-    // The first point of each identity in grid order runs; its report
-    // serves the rest, and every report is what the point's own spec gives.
+    // Leaders simulate; the rest are copies served in no time, and every
+    // report is what the point's own spec gives.
     for (std::size_t i = 0; i < grid.size(); ++i) {
       EXPECT_EQ(a.points[i].index, i);
       EXPECT_EQ(a.points[i].spec.key(), grid[i].key());
+      EXPECT_EQ(a.points[i].cached, !c.leads[i]) << grid[i].key();
+      if (!c.leads[i]) {
+        EXPECT_EQ(a.points[i].wall_us, 0) << grid[i].key();
+      }
       EXPECT_EQ(a.points[i].report.to_json(), run_scenario(grid[i]).to_json()) << grid[i].key();
     }
 
@@ -143,19 +156,7 @@ TEST(ExperimentRunner, SimulatesEachIdentityOnce) {
     EXPECT_EQ(a.to_json(), b.to_json());
     EXPECT_EQ(a.to_csv(), b.to_csv());
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      EXPECT_EQ(a.points[i].cached, b.points[i].cached) << i;
-    }
-  }
-}
-
-TEST(ExperimentRunner, LeadersAreTheFirstPointOfEachIdentity) {
-  // hybrid_cross() is matcher-major: points 0 and 1 (islip:1 with each
-  // circuit) lead, 2..5 copy them.
-  const SweepResult res = ExperimentRunner{}.run(hybrid_cross());
-  for (std::size_t i = 0; i < res.points.size(); ++i) {
-    EXPECT_EQ(res.points[i].cached, i >= 2) << i;
-    if (i >= 2) {
-      EXPECT_EQ(res.points[i].wall_us, 0) << i;
+      EXPECT_EQ(b.points[i].cached, !c.leads[i]) << i;
     }
   }
 }
